@@ -125,10 +125,20 @@ let domains_arg =
        & info [ "domains" ] ~docv:"N"
            ~doc:"Run goroutines across $(docv) OCaml domains: \
                  work-stealing scheduler, domain-safe allocator, \
-                 parallel stop-the-world GC.  0 (the default) keeps \
-                 the sequential cooperative scheduler; 1 runs the \
-                 domain scheduler single-threaded, byte-identical to \
-                 sequential.")
+                 parallel stop-the-world GC.  0 (the default) is an \
+                 alias for 1: one domain, an unshared heap and a \
+                 deterministic schedule.")
+
+(* One stderr line when the requested domains exceed what the host
+   recommends: such runs are oversubscribed, and their wall times
+   measure time-slicing rather than the runtime. *)
+let warn_oversubscribed (o : Gofree_api.run_options) =
+  let cores = Domain.recommended_domain_count () in
+  if o.Gofree_api.domains > cores then
+    Printf.eprintf
+      "gofreec: warning: --domains %d exceeds the %d domain(s) this host \
+       recommends; the run is oversubscribed\n%!"
+      o.Gofree_api.domains cores
 
 let run_options_term : Gofree_api.run_options Term.t =
   Term.(

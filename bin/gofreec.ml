@@ -31,6 +31,7 @@ let file_arg =
 let run_cmd =
   let run file config options metrics obs =
     let options = with_effective_sampling obs options in
+    warn_oversubscribed options;
     let source = read_source file in
     start_trace obs;
     let outcome = ok (Gofree_api.run_string ~config ~options source) in
@@ -171,6 +172,7 @@ let disasm_cmd =
 (* compare *)
 let compare_cmd =
   let compare_run file options =
+    warn_oversubscribed options;
     let source = read_source file in
     let run preset =
       ok
@@ -236,6 +238,7 @@ let build_cmd =
     | Some path -> write_json path (Gofree_api.build_stats_to_json bstats)
     | None -> ());
     if run then begin
+      warn_oversubscribed options;
       let outcome = ok (Gofree_api.run_build ~options b) in
       finish_trace obs;
       emit_outcome ~metrics obs outcome;

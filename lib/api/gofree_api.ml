@@ -238,10 +238,10 @@ type run_options = {
   sample_every : int;  (** 0 = no time series *)
   engine : engine;  (** which engine executes function bodies *)
   domains : int;
-      (** 0 = sequential scheduler; N >= 1 = run goroutines across N
-          OCaml domains (work-stealing scheduler, domain-safe
-          allocator, parallel GC).  [domains = 1] is byte-identical to
-          sequential. *)
+      (** run goroutines across N OCaml domains (work-stealing
+          scheduler, domain-safe allocator, parallel GC).  0 (the
+          default) is an alias for 1: one domain, an unshared heap and a
+          deterministic schedule. *)
 }
 
 let default_run_options =

@@ -39,6 +39,10 @@ exception Break_loop
 
 exception Continue_loop
 
+(* Performed at a safepoint whose slice budget is spent; the fiber's
+   handler ({!fiber_task}) re-enqueues the continuation. *)
+type _ Effect.t += Yield : unit Effect.t
+
 type binding =
   | Bunbound  (** slot's declaration not yet executed on this path *)
   | Bdirect of Value.cell
@@ -72,9 +76,8 @@ type goroutine = {
   mutable g_top_i : int;
   mutable g_pending : Value.value list;
       (** arguments of a spawned goroutine that has not started yet.
-          Multi-domain runs root these (the goroutine may sit queued
-          across a GC); cleared when the body starts.  The sequential
-          scheduler leaves this empty — its root set is unchanged. *)
+          Rooted because the goroutine may sit queued across a GC;
+          cleared when the body starts. *)
 }
 
 (** Which execution engine interprets function bodies.  All three share
@@ -100,10 +103,9 @@ type run_config = {
       (** which engine executes function bodies; the reference
           tree-walker is slowest but is the semantic ground truth *)
   domains : int;
-      (** 0 = sequential effect-handler scheduler (the legacy path);
-          N >= 1 = run goroutines on N OCaml domains through the
-          work-stealing scheduler.  [domains = 1] is byte-identical to
-          sequential by construction. *)
+      (** run goroutines on N OCaml domains through the work-stealing
+          scheduler; 0 (the default) is an alias for 1.  One domain
+          keeps the heap unshared and the schedule deterministic. *)
 }
 
 let default_config =
@@ -122,13 +124,11 @@ let default_config =
     domains = 0;
   }
 
-(** Execution state.  Sequential runs share one record across every
-    goroutine ([current] switches on yield).  Multi-domain runs give
-    each goroutine its own copy — [current] is then fixed for the
-    goroutine's lifetime and the per-goroutine mutable fields (steps,
-    yield pacing, unwinding, IC counters, rng shadow) are private to
-    it, while [program]/[heap]/[globals]/[output]/[sched] stay
-    physically shared.  The copy's [dom] is updated by the scheduler
+(** Execution state.  Each goroutine has its own copy — [current] is
+    fixed for the goroutine's lifetime and the per-goroutine mutable
+    fields (steps, yield pacing, unwinding, IC counters) are private to
+    it, while [program]/[heap]/[globals]/[output]/[par] stay physically
+    shared.  The copy's [dom] is updated by the scheduler
     before every slice, so a stolen goroutine allocates through the
     thief domain's mcache — which is what makes the paper's
     give-up-on-ownership-change tcfree path a real race. *)
@@ -137,17 +137,14 @@ type state = {
   decisions : Decisions.t;
   layout : Layout.t;
   heap : Rt.Heap.t;
-  sched : Sched.t;
   output : Buffer.t;
   globals : binding array;  (** by {!Layout} global slot *)
   config : run_config;
   mutable dispatch : state -> int -> Value.value list -> Value.value list;
       (** how calls execute: {!call_by_id} (reference) or the compiled
           bodies; defers and goroutine entry points route through it *)
-  mutable goroutines : goroutine list;
   mutable current : goroutine;
   mutable steps : int;
-  mutable rng : int64;
   mutable next_scope_token : int;
   mutable unwinding : Value.value option;
       (** the active panic value while defers run during unwinding;
@@ -162,14 +159,12 @@ type state = {
           without the division on the safepoint fast path *)
   mutable dom : int;
       (** index of the domain currently executing this state's
-          goroutine (multi-domain runs; 0 otherwise).  Set by the
-          work-stealing scheduler before each slice. *)
-  mutable par : parctx option;
-      (** the shared parallel-runtime context, when goroutines run on
-          the work-stealing domain scheduler ([--domains >= 1]) *)
+          goroutine.  Set by the work-stealing scheduler before each
+          slice. *)
+  par : parctx;  (** the run's shared scheduler context *)
 }
 
-(** Shared context of one multi-domain run: per-domain run queues, the
+(** Shared context of one run: per-domain run queues, the
     goroutine registry (the GC root set), scheduler bookkeeping, and
     the stop-the-world handshake state.  [p_mutex]/[p_work] guard every
     mutable field except the queues (internally locked) and [p_rng]
@@ -183,23 +178,23 @@ and parctx = {
   mutable p_live : int;  (** goroutines queued or running *)
   mutable p_running : int;  (** domains currently executing a slice *)
   mutable p_regs : (goroutine * state) list;
-      (** every live goroutine with its state copy — the parallel GC's
-          root registry (newest first, like the sequential list) *)
+      (** every live goroutine with its state copy — the GC's root
+          registry, newest first *)
+  mutable p_next_gid : int;  (** last goroutine id handed out *)
   mutable p_yields : int;
-      (** total yields; drives the simulated-P drift at [--domains 1]
-          so thread ids reproduce the sequential [Sched.pid_for] *)
+      (** total yields; drives the simulated-P drift at one domain
+          (see [cur_thread]) *)
   mutable p_budget : int;
-      (** [--domains 1] only: steps left in the current shared slice.
-          The sequential scheduler checks one global step counter
-          against one global yield threshold, so a goroutine that
-          finishes mid-slice passes its leftover budget to the next
-          task; the single-domain worker replays that by loading this
-          into each state copy's [yield_at] before every slice. *)
+      (** one domain only: steps left in the current shared slice.  The
+          single-domain schedule checks one step budget across
+          goroutines, so a goroutine that finishes mid-slice passes its
+          leftover budget to the next task; the worker loads this into
+          each state copy's [yield_at] before every slice. *)
   mutable p_steals : int;  (** goroutines moved by work stealing *)
   mutable p_spawns : int;
   mutable p_steps_done : int;
       (** summed step counts of finished goroutines; plus the live
-          states' counters this reproduces the sequential total *)
+          states' counters this is the run's total *)
   mutable p_ic_hits : int;  (** inline-cache hits of finished goroutines *)
   mutable p_ic_misses : int;
   mutable p_abort : exn option;
@@ -212,8 +207,8 @@ and parctx = {
   p_out_mutex : Mutex.t;  (** serializes [output] appends when nd > 1 *)
   p_rng : int64 Atomic.t;
       (** the shared splitmix64 stream: all goroutines draw from one
-          sequence, CAS-claimed — at one domain this reproduces the
-          sequential stream exactly *)
+          sequence, CAS-claimed — at one domain the claim order is
+          program order *)
   p_dls : int Domain.DLS.key;  (** executing domain's index *)
 }
 
@@ -233,23 +228,17 @@ let mix64 z =
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* Multi-domain runs draw from one shared stream (CAS-claimed) so the
-   sequence of dispensed values is a permutation of the sequential one;
-   at one domain the claim order equals program order, reproducing the
-   sequential stream exactly. *)
+(* All goroutines draw from one shared stream (CAS-claimed), so the
+   sequence of dispensed values is the same on every domain count; at
+   one domain the claim order is program order. *)
 let rng_next st =
-  match st.par with
-  | None ->
-    let z = Int64.add st.rng 0x9E3779B97F4A7C15L in
-    st.rng <- z;
-    mix64 z
-  | Some p ->
-    let rec claim () =
-      let cur = Atomic.get p.p_rng in
-      let z = Int64.add cur 0x9E3779B97F4A7C15L in
-      if Atomic.compare_and_set p.p_rng cur z then z else claim ()
-    in
-    mix64 (claim ())
+  let p = st.par in
+  let rec claim () =
+    let cur = Atomic.get p.p_rng in
+    let z = Int64.add cur 0x9E3779B97F4A7C15L in
+    if Atomic.compare_and_set p.p_rng cur z then z else claim ()
+  in
+  mix64 (claim ())
 
 let rand_int st bound =
   if bound <= 0 then 0
@@ -267,23 +256,20 @@ let cur_frame st =
   | [] -> raise (Runtime_error "no active frame")
 
 (* Which simulated P (mcache index) the current goroutine allocates
-   through.  Sequential runs simulate migration via [Sched.pid_for]; a
-   single-domain parallel run reproduces that formula bit-for-bit from
-   the parctx yield counter (its only writer is the one domain, so the
-   unlocked read is exact); true multi-domain runs use the executing
-   domain's index — ownership then really changes when a goroutine is
-   stolen. *)
+   through.  One domain simulates migration: a goroutine's base P plus
+   a slow round-robin drift with the global yield count (its only
+   writer is the one domain, so the unlocked read is exact).  Several
+   domains use the executing domain's index — ownership then really
+   changes when a goroutine is stolen. *)
 let cur_thread st =
-  match st.par with
-  | None -> Sched.pid_for st.sched ~gid:st.current.g_id
-  | Some p ->
-    if p.p_nd = 1 then
-      let drift =
-        if st.config.migrate_every <= 0 then 0
-        else p.p_yields / st.config.migrate_every
-      in
-      (st.current.g_id + drift) mod st.config.nprocs
-    else st.dom
+  let p = st.par in
+  if p.p_nd = 1 then
+    let drift =
+      if st.config.migrate_every <= 0 then 0
+      else p.p_yields / st.config.migrate_every
+    in
+    (st.current.g_id + drift) mod st.config.nprocs
+  else st.dom
 
 (* Scopes are materialized lazily: entering one only bumps a counter,
    and the per-scope object list springs into existence when the first
@@ -336,22 +322,8 @@ let trace_binding b k =
     k addr;
     Value.trace c.Value.v k
 
-let iter_roots st (k : int -> unit) =
-  Array.iter (fun b -> trace_binding b k) st.globals;
-  List.iter
-    (fun g ->
-      List.iter
-        (fun f ->
-          Array.iter (fun b -> trace_binding b k) f.slots;
-          List.iter (fun v -> Value.trace v k) f.temps;
-          List.iter
-            (fun (_, args) -> List.iter (fun v -> Value.trace v k) args)
-            f.defers)
-        g.g_frames)
-    st.goroutines
-
 (* ------------------------------------------------------------------ *)
-(* Multi-domain runtime: context, output, fibers, STW handshake        *)
+(* Scheduler context, output, fibers, STW handshake                  *)
 (* ------------------------------------------------------------------ *)
 
 module Wsq = Gofree_sched.Wsq
@@ -365,6 +337,7 @@ let make_parctx ~nd ~seed ~yield_every : parctx =
     p_live = 0;
     p_running = 0;
     p_regs = [];
+    p_next_gid = 0;
     p_yields = 0;
     p_budget = yield_every;
     p_steals = 0;
@@ -384,18 +357,18 @@ let make_parctx ~nd ~seed ~yield_every : parctx =
    interleave whole lines (each print site builds one string), not
    bytes. *)
 let emit_str st s =
-  match st.par with
-  | Some p when p.p_nd > 1 ->
+  let p = st.par in
+  if p.p_nd > 1 then begin
     Mutex.lock p.p_out_mutex;
     Buffer.add_string st.output s;
     Mutex.unlock p.p_out_mutex
-  | _ -> Buffer.add_string st.output s
+  end
+  else Buffer.add_string st.output s
 
-(* Root enumeration for parallel runs: the registry in [p_regs] replaces
-   the sequential [st.goroutines] list (same newest-first order), and —
-   only when goroutines can actually sit queued across a GC, nd > 1 —
-   pending spawn arguments are rooted too. *)
-let iter_roots_par (p : parctx) ~(globals : binding array) (k : int -> unit) =
+(* Root enumeration: globals, then every registered goroutine (newest
+   first) — its frames and the arguments of a spawn that has not
+   started yet, which may sit queued across a GC. *)
+let iter_roots (p : parctx) ~(globals : binding array) (k : int -> unit) =
   Array.iter (fun b -> trace_binding b k) globals;
   List.iter
     (fun ((g : goroutine), (_ : state)) ->
@@ -407,7 +380,7 @@ let iter_roots_par (p : parctx) ~(globals : binding array) (k : int -> unit) =
             (fun (_, args) -> List.iter (fun v -> Value.trace v k) args)
             f.defers)
         g.g_frames;
-      if p.p_nd > 1 then List.iter (fun v -> Value.trace v k) g.g_pending)
+      List.iter (fun v -> Value.trace v k) g.g_pending)
     p.p_regs
 
 let fiber_done p (g : goroutine) =
@@ -425,7 +398,7 @@ let fiber_done p (g : goroutine) =
   Mutex.unlock p.p_mutex
 
 (** Package a goroutine body as a schedulable task.  The effect handler
-    turns every [Sched.yield] into "re-enqueue my continuation on the
+    turns every [Yield] into "re-enqueue my continuation on the
     domain that is running me right now" — read from domain-local
     storage at perform time, so a stolen goroutine requeues on the
     thief, not on the domain that first started it. *)
@@ -443,7 +416,7 @@ let fiber_task (p : parctx) (gst : state) (body : unit -> unit) : ptask =
         effc =
           (fun (type c) (eff : c Effect.t) ->
             match eff with
-            | Sched.Yield ->
+            | Yield ->
               Some
                 (fun (k : (c, _) continuation) ->
                   let d = Domain.DLS.get p.p_dls in
@@ -458,22 +431,23 @@ let fiber_task (p : parctx) (gst : state) (body : unit -> unit) : ptask =
   in
   { tk_st = gst; tk_run = run }
 
-(** Parallel-mode goroutine spawn.  Each goroutine gets its own [state]
-    copy — per-goroutine execution context (current goroutine, step/yield
+(** Goroutine spawn.  Each goroutine gets its own [state] copy —
+    per-goroutine execution context (current goroutine, step/yield
     counters, scope tokens, IC stats) over physically shared program,
     heap, globals, output and scheduler — so a stolen fiber carries its
     context with it.  The new task lands on the spawning domain's local
     queue, Go-style. *)
-let spawn_parallel st (p : parctx) fid args =
+let spawn_goroutine st fid args =
+  let p = st.par in
   Mutex.lock p.p_mutex;
+  (* Ids advance by two per spawn.  Through [cur_thread] the id picks
+     the goroutine's mcache at one domain, so this step is part of the
+     schedule the committed goldens (test/golden/parallel) pin. *)
   let g =
-    { g_id = Sched.fresh_gid st.sched; g_frames = []; g_pending = args;
+    { g_id = p.p_next_gid + 1; g_frames = []; g_pending = args;
       g_stk_v = [||]; g_top_v = 0; g_stk_i = [||]; g_top_i = 0 }
   in
-  (* The sequential path burns a second counter value per spawn
-     ([Sched.spawn] also increments it); replay that so goroutine ids —
-     and through [cur_thread] their mcache assignment — coincide. *)
-  ignore (Sched.fresh_gid st.sched);
+  p.p_next_gid <- p.p_next_gid + 2;
   let gst =
     { st with current = g; steps = 0; yield_at = st.config.yield_every;
       next_scope_token = 0; unwinding = None; ic_hits = 0; ic_misses = 0 }
@@ -493,8 +467,8 @@ let spawn_parallel st (p : parctx) fid args =
   Condition.broadcast p.p_work;
   Mutex.unlock p.p_mutex
 
-(* Stop-the-world GC rendezvous (nd > 1; single-domain runs collect
-   sequentially).  Reached from a safepoint, i.e. from a domain counted
+(* Stop-the-world GC rendezvous (nd > 1; a single domain collects
+   inline).  Reached from a safepoint, i.e. from a domain counted
    in [p_running]:
 
    - If no handshake is active, this domain becomes the leader: it
@@ -568,9 +542,8 @@ let safepoint_slow st =
   let heap = st.heap in
   if heap.Rt.Heap.gc_requested && not heap.Rt.Heap.config.Rt.Heap.gc_disabled
   then begin
-    match st.par with
-    | Some p when p.p_nd > 1 -> par_gc st p
-    | _ -> Rt.Gc_collector.collect heap
+    if st.par.p_nd > 1 then par_gc st st.par
+    else Rt.Gc_collector.collect heap
   end;
   (match heap.Rt.Heap.sampler with
   | Some sampler when Rt.Sampler.due sampler ~step:st.steps ->
@@ -580,7 +553,7 @@ let safepoint_slow st =
   | _ -> ());
   if st.steps >= st.yield_at then begin
     st.yield_at <- st.steps + st.config.yield_every;
-    Sched.yield ()
+    Effect.perform Yield
   end
 
 (* Safepoint: maybe run a GC cycle; also the yield point. *)
@@ -1569,22 +1542,3 @@ and resolve_func st name : int =
   match Layout.func_id st.layout name with
   | Some fid -> fid
   | None -> raise (Runtime_error ("undefined function " ^ name))
-
-and spawn_goroutine st fid args =
-  match st.par with
-  | Some p -> spawn_parallel st p fid args
-  | None ->
-    let g =
-      { g_id = Sched.fresh_gid st.sched; g_frames = []; g_pending = [];
-        g_stk_v = [||]; g_top_v = 0; g_stk_i = [||]; g_top_i = 0 }
-    in
-    st.goroutines <- g :: st.goroutines;
-    Sched.spawn st.sched ~gid:g.g_id
-      ~on_resume:(fun () -> st.current <- g)
-      (fun () ->
-        (match st.dispatch st fid args with
-        | _ -> ()
-        | exception Panic v ->
-          Buffer.add_string st.output ("panic: " ^ Value.to_string v ^ "\n");
-          raise (Panic v));
-        st.goroutines <- List.filter (fun g' -> g' != g) st.goroutines)

@@ -56,9 +56,8 @@ type goroutine = {
   mutable g_stk_i : int array;
   mutable g_top_i : int;
   mutable g_pending : Value.value list;
-      (** spawn arguments of a not-yet-started goroutine; rooted by
-          multi-domain runs, always empty under the sequential
-          scheduler *)
+      (** spawn arguments of a not-yet-started goroutine; GC roots
+          until the body starts *)
 }
 
 (** Which execution engine interprets function bodies.  All three share
@@ -83,10 +82,9 @@ type run_config = {
       (** which engine executes function bodies; the reference
           tree-walker is slowest but is the semantic ground truth *)
   domains : int;
-      (** 0 = sequential effect-handler scheduler (the legacy path);
-          N >= 1 = run goroutines on N OCaml domains through the
-          work-stealing scheduler.  [domains = 1] is byte-identical to
-          sequential by construction. *)
+      (** run goroutines on N OCaml domains through the work-stealing
+          scheduler; 0 (the default) is an alias for 1.  One domain
+          keeps the heap unshared and the schedule deterministic. *)
 }
 
 val default_config : run_config
@@ -96,17 +94,14 @@ type state = {
   decisions : Decisions.t;
   layout : Layout.t;
   heap : Rt.Heap.t;
-  sched : Sched.t;
   output : Buffer.t;
   globals : binding array;  (** by {!Layout} global slot *)
   config : run_config;
   mutable dispatch : state -> int -> Value.value list -> Value.value list;
       (** how calls execute: {!call_by_id} or compiled bodies; defers
           and goroutine entry points route through it *)
-  mutable goroutines : goroutine list;
   mutable current : goroutine;
   mutable steps : int;
-  mutable rng : int64;
   mutable next_scope_token : int;
   mutable unwinding : Value.value option;
       (** the active panic value while defers run during unwinding *)
@@ -118,15 +113,13 @@ type state = {
       (** next step count at which to yield (advances by
           [config.yield_every]) *)
   mutable dom : int;
-      (** index of the domain currently executing this state's goroutine
-          (multi-domain runs; 0 otherwise) *)
-  mutable par : parctx option;
-      (** the shared parallel-runtime context when goroutines run on the
-          work-stealing domain scheduler ([--domains >= 1]) *)
+      (** index of the domain currently executing this state's
+          goroutine *)
+  par : parctx;  (** the run's shared scheduler context *)
 }
 
-(** Shared context of one multi-domain run: per-domain run queues, the
-    goroutine registry (the parallel GC's root set), scheduler
+(** Shared context of one run: per-domain run queues, the goroutine
+    registry (the GC's root set), scheduler
     bookkeeping and the stop-the-world handshake state.
     [p_mutex]/[p_work] guard every mutable field except the queues
     (internally locked) and [p_rng] (atomic). *)
@@ -138,9 +131,11 @@ and parctx = {
   mutable p_live : int;  (** goroutines queued or running *)
   mutable p_running : int;  (** domains currently executing a slice *)
   mutable p_regs : (goroutine * state) list;
+  mutable p_next_gid : int;  (** last goroutine id handed out *)
   mutable p_yields : int;
   mutable p_budget : int;
-      (** nd = 1 only: steps left in the shared sequential-replay slice *)
+      (** nd = 1 only: steps left in the slice shared across
+          goroutines *)
   mutable p_steals : int;  (** goroutines moved by work stealing *)
   mutable p_spawns : int;
   mutable p_steps_done : int;
@@ -160,17 +155,12 @@ and ptask = {
   tk_run : unit -> unit;  (** start the fiber or resume its continuation *)
 }
 
-(** Enumerate every root address: globals, all goroutines' frame slots,
-    statement pins and pending defer arguments. *)
-val iter_roots : state -> (int -> unit) -> unit
-
 val make_parctx : nd:int -> seed:int64 -> yield_every:int -> parctx
 
-(** Root enumeration for parallel runs (the [p_regs] registry replaces
-    [state.goroutines]; pending spawn arguments are rooted when
-    nd > 1). *)
-val iter_roots_par :
-  parctx -> globals:binding array -> (int -> unit) -> unit
+(** Enumerate every root address: globals, then every registered
+    goroutine's frame slots, statement pins, pending defer arguments
+    and not-yet-started spawn arguments. *)
+val iter_roots : parctx -> globals:binding array -> (int -> unit) -> unit
 
 (** Append to the program output; whole-string-atomic when nd > 1. *)
 val emit_str : state -> string -> unit

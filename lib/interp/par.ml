@@ -1,6 +1,7 @@
-(** The multi-domain goroutine scheduler: N worker loops (one per OCaml
-    domain, domain 0 inline on the caller), each draining its own run
-    queue and stealing half a victim's queue when empty.
+(** The goroutine scheduler: N worker loops (one per OCaml domain,
+    domain 0 inline on the caller), each draining its own run queue and
+    stealing half a victim's queue when empty.  Every run goes through
+    it; [--domains 0] is an alias for one domain.
 
     Scheduling protocol:
     - a task is one goroutine slice — it runs until the goroutine yields
@@ -14,13 +15,14 @@
       transitions.  During a handshake they help mark/sweep rather than
       sleep.
 
-    At [--domains 1] no domain is spawned, nothing can be stolen, and
-    the single FIFO queue replays the sequential scheduler's order
-    exactly — that is the byte-identity gate's mechanism, not a tuned
-    coincidence. *)
+    At one domain no domain is spawned, nothing can be stolen, and the
+    single FIFO queue makes the schedule deterministic: output, step
+    count and metrics are a function of the program and seed alone,
+    which is what the golden-file gate (test/golden/parallel) holds. *)
 
 module Rt = Gofree_runtime
 module Wsq = Gofree_sched.Wsq
+module Trace = Gofree_obs.Trace
 
 (* Pop local work, stealing half of the first non-empty victim queue
    (round-robin from d+1) when the local queue is dry.  Caller holds
@@ -46,11 +48,11 @@ let take_task (p : Interp.parctx) d =
     end
 
 (* Execute one slice of [task] on domain [d].  Returns the escaping
-   exception, if any.  At nd = 1 the sequential scheduler's shared slice
-   budget is replayed: the state copy's yield threshold is loaded from
-   the global budget before the slice, and a completion mid-slice hands
-   its leftover steps to the next task (a yield refills the budget). *)
-let run_slice (p : Interp.parctx) (task : Interp.ptask) d =
+   exception, if any.  At nd = 1 the slice budget is shared across
+   goroutines: the state copy's yield threshold is loaded from the
+   global budget before the slice, and a completion mid-slice hands its
+   leftover steps to the next task (a yield refills the budget). *)
+let exec_slice (p : Interp.parctx) (task : Interp.ptask) d =
   let gst = task.Interp.tk_st in
   gst.Interp.dom <- d;
   if p.Interp.p_nd = 1 then begin
@@ -68,6 +70,20 @@ let run_slice (p : Interp.parctx) (task : Interp.ptask) d =
   end
   else
     match task.Interp.tk_run () with () -> None | exception e -> Some e
+
+(* [exec_slice] inside a "run g<gid>" span on the executing domain's
+   track, so a stolen goroutine's slices visibly change tracks.  With
+   tracing off this costs one [Trace.enabled] check per slice. *)
+let run_slice p (task : Interp.ptask) d =
+  if Trace.enabled () then begin
+    let gid = task.Interp.tk_st.Interp.current.Interp.g_id in
+    let tid = Trace.tid_sched d and name = "run g" ^ string_of_int gid in
+    Trace.begin_span ~tid name;
+    let r = exec_slice p task d in
+    Trace.end_span ~tid name;
+    r
+  end
+  else exec_slice p task d
 
 (* Park for an in-progress stop-the-world handshake: wait for the
    leader to publish the cycle, help mark/sweep, wait for release.
@@ -89,6 +105,9 @@ let park_for_gc (p : Interp.parctx) =
 
 let worker_loop (p : Interp.parctx) d =
   Domain.DLS.set p.Interp.p_dls d;
+  if Trace.enabled () then
+    Trace.name_thread ~tid:(Trace.tid_sched d)
+      ("sched domain " ^ string_of_int d);
   Mutex.lock p.Interp.p_mutex;
   let quit = ref false in
   while not !quit do

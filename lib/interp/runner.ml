@@ -24,19 +24,14 @@ let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
     from per-package caches rather than one whole-program analysis. *)
 let run_program ?(config = Interp.default_config)
     ~(decisions : Decisions.t) (program : Tast.program) : result =
-  let nd = config.Interp.domains in
-  (* [--domains N>1] widens the allocator to one mcache/metric stripe per
-     domain and turns its internal locking on; [--domains 1] keeps the
-     sequential single-writer heap so the byte-identity gate compares
-     like with like. *)
+  let nd = max 1 config.Interp.domains in
+  (* Several domains widen the allocator to one mcache/metric stripe per
+     domain and turn its internal locking on; one domain keeps the
+     single-writer heap and pays no locking cost. *)
   let heap =
     Rt.Heap.create ~config:config.Interp.heap_config
       ~nprocs:(if nd > 1 then nd else config.Interp.nprocs)
       ~shared:(nd > 1) ()
-  in
-  let sched =
-    Sched.create ~nprocs:config.Interp.nprocs
-      ~migrate_every:config.Interp.migrate_every
   in
   let layout = Layout.of_program program in
   let main_g =
@@ -44,11 +39,8 @@ let run_program ?(config = Interp.default_config)
       g_stk_v = [||]; g_top_v = 0; g_stk_i = [||]; g_top_i = 0 }
   in
   let par =
-    if nd >= 1 then
-      Some
-        (Interp.make_parctx ~nd ~seed:config.Interp.seed
-           ~yield_every:config.Interp.yield_every)
-    else None
+    Interp.make_parctx ~nd ~seed:config.Interp.seed
+      ~yield_every:config.Interp.yield_every
   in
   let st =
     {
@@ -56,15 +48,12 @@ let run_program ?(config = Interp.default_config)
       decisions;
       layout;
       heap;
-      sched;
       output = Buffer.create 256;
       globals = Array.make (max 1 layout.Layout.l_nglobals) Interp.Bunbound;
       config;
       dispatch = Interp.call_by_id;
-      goroutines = [ main_g ];
       current = main_g;
       steps = 0;
-      rng = config.Interp.seed;
       next_scope_token = 0;
       unwinding = None;
       ic_hits = 0;
@@ -84,11 +73,8 @@ let run_program ?(config = Interp.default_config)
     Vm.install st (Emit.lower program decisions layout));
   heap.Rt.Heap.trace_payload <- Value.trace_payload;
   heap.Rt.Heap.poison_payload <- Value.poison_payload;
-  (match par with
-  | Some p ->
-    heap.Rt.Heap.iter_roots <-
-      (fun k -> Interp.iter_roots_par p ~globals:st.Interp.globals k)
-  | None -> heap.Rt.Heap.iter_roots <- (fun k -> Interp.iter_roots st k));
+  heap.Rt.Heap.iter_roots <-
+    (fun k -> Interp.iter_roots par ~globals:st.Interp.globals k);
   if config.Interp.sample_every > 0 then
     heap.Rt.Heap.sampler <-
       Some (Rt.Sampler.create ~every:config.Interp.sample_every ());
@@ -129,13 +115,7 @@ let run_program ?(config = Interp.default_config)
         ("panic: " ^ Value.to_string v ^ "\n");
       panicked := true
   in
-  (match
-     match par with
-     | Some p -> Par.run p st boot
-     | None ->
-       Sched.run sched ~on_resume:(fun () -> st.Interp.current <- main_g)
-         boot
-   with
+  (match Par.run par st boot with
   | () -> ()
   | exception Interp.Panic v ->
     (* a goroutine's unrecovered panic aborts the program, like Go *)
@@ -143,27 +123,23 @@ let run_program ?(config = Interp.default_config)
       ("panic: " ^ Value.to_string v ^ "\n");
     panicked := true);
   let t1 = now_ns () in
-  (* In parallel mode each goroutine ran on its own state copy; finished
-     goroutines folded their counters into the context, any survivors of
-     an aborted run are still registered. *)
+  (* Each goroutine ran on its own state copy; finished goroutines
+     folded their counters into the context, any survivors of an aborted
+     run are still registered. *)
   let total_steps, total_ic_hits, total_ic_misses =
-    match par with
-    | None -> (st.Interp.steps, st.Interp.ic_hits, st.Interp.ic_misses)
-    | Some p ->
-      List.fold_left
-        (fun (s, h, m) ((_ : Interp.goroutine), (gst : Interp.state)) ->
-          (s + gst.Interp.steps, h + gst.Interp.ic_hits,
-           m + gst.Interp.ic_misses))
-        (p.Interp.p_steps_done, p.Interp.p_ic_hits, p.Interp.p_ic_misses)
-        p.Interp.p_regs
+    List.fold_left
+      (fun (s, h, m) ((_ : Interp.goroutine), (gst : Interp.state)) ->
+        (s + gst.Interp.steps, h + gst.Interp.ic_hits,
+         m + gst.Interp.ic_misses))
+      (par.Interp.p_steps_done, par.Interp.p_ic_hits, par.Interp.p_ic_misses)
+      par.Interp.p_regs
   in
   (* Final accounting sweep: everything still live is attributed to GC
      reclamation for the Table 8 denominators, without counting an extra
      cycle.  All domains have been joined by now, so even a shared heap
      is quiescent; its sweep must still go through the parallel
      collector, whose apply path maintains the atomic live count. *)
-  st.Interp.goroutines <- [];
-  (match par with Some p -> p.Interp.p_regs <- [] | None -> ());
+  par.Interp.p_regs <- [];
   heap.Rt.Heap.iter_roots <- (fun _ -> ());
   let saved_cycles = heap.Rt.Heap.metrics.Rt.Metrics.gc_cycles in
   let saved_time = heap.Rt.Heap.metrics.Rt.Metrics.gc_time_ns in
@@ -192,24 +168,21 @@ let run_program ?(config = Interp.default_config)
             "gofree_vm_ic_miss_total")
          total_ic_misses
      end;
-     match par with
-     | Some p ->
-       Reg.add
-         (Reg.counter Reg.runtime
-            ~help:"goroutines migrated between domains by work stealing"
-            "gofree_sched_steals_total")
-         p.Interp.p_steals;
-       Reg.add
-         (Reg.counter Reg.runtime
-            ~help:"goroutines spawned onto the domain scheduler"
-            "gofree_sched_spawns_total")
-         p.Interp.p_spawns;
-       Reg.add
-         (Reg.counter Reg.runtime
-            ~help:"goroutine yields on the domain scheduler"
-            "gofree_sched_yields_total")
-         p.Interp.p_yields
-     | None -> ()
+     Reg.add
+       (Reg.counter Reg.runtime
+          ~help:"goroutines migrated between domains by work stealing"
+          "gofree_sched_steals_total")
+       par.Interp.p_steals;
+     Reg.add
+       (Reg.counter Reg.runtime
+          ~help:"goroutines spawned onto the domain scheduler"
+          "gofree_sched_spawns_total")
+       par.Interp.p_spawns;
+     Reg.add
+       (Reg.counter Reg.runtime
+          ~help:"goroutine yields on the domain scheduler"
+          "gofree_sched_yields_total")
+       par.Interp.p_yields
    end);
   {
     output = Buffer.contents st.Interp.output;

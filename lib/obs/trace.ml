@@ -44,7 +44,7 @@ let tid_runtime = 1
 
 let tid_worker i = 10 + i
 
-let tid_fiber gid = 100 + gid
+let tid_sched d = 100 + d
 
 let tid_reader conn = 1000 + conn
 

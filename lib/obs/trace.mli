@@ -43,8 +43,9 @@ val tid_runtime : int
 (** Track of build worker domain [i] (10 + i). *)
 val tid_worker : int -> int
 
-(** Track of goroutine/fiber [gid] (100 + gid). *)
-val tid_fiber : int -> int
+(** Track of goroutine-scheduler domain [d] (100 + d): one span per
+    goroutine slice it executes. *)
+val tid_sched : int -> int
 
 (** Track of the daemon's reader thread for connection [conn]
     (1000 + conn) — request receive/queue/respond events. *)

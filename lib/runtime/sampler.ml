@@ -18,7 +18,7 @@ type sample = {
 (* [lock] guards the ring: with goroutines running on multiple domains,
    several mutators can reach a sampling safepoint concurrently, and
    [Ring.push] mutates head/length state that would corrupt under a
-   race.  Uncontended in sequential runs. *)
+   race.  Uncontended at one domain. *)
 type t = { every : int; ring : sample Ring.t; lock : Mutex.t }
 
 let create ?(capacity = 4096) ~every () =

@@ -34,7 +34,8 @@
       decodes), a preset name string ([gofree] | [go] | [all-targets]
       | [no-ipa] | [field-sensitive] | [last-use] | [precise]).
     Execution knobs ([gc_off], [poison], [gogc], [seed],
-    [sample_every], [engine], [domains]) mirror the CLI flags.
+    [sample_every], [engine], [domains]) mirror the CLI flags;
+    ["domains"] is 0..64, where 0 (the default) means one domain.
     ["engine"] selects
     the execution engine by name ([reference] | [closure] | [bytecode],
     default [bytecode]); the historical boolean ["reference"] param is

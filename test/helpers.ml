@@ -29,6 +29,21 @@ let run_poison ?(config = Gofree_core.Config.gofree) src =
 
 let output ?config src = fst (run ?config src)
 
+(* Resolve golden files next to the test binary so the cases work under
+   both [dune runtest] (cwd = test dir) and [dune exec] (cwd = root). *)
+let golden name =
+  let beside = Filename.concat (Filename.dirname Sys.executable_name) in
+  if Sys.file_exists (beside "golden") then
+    Filename.concat (beside "golden") name
+  else Filename.concat "golden" name
+
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
 (** Assert that the program produces the same output under stock Go,
     GoFree, and GoFree-with-poison — the robustness check. *)
 let check_all_settings_agree ~name src =

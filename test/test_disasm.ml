@@ -10,24 +10,9 @@
     [dune exec bin/gofreec.exe -- disasm test/golden/FILE.go] only when
     that change is intentional. *)
 
-(* Resolve golden files next to the test binary so the cases work under
-   both [dune runtest] (cwd = test dir) and [dune exec] (cwd = root). *)
-let golden name =
-  let beside = Filename.concat (Filename.dirname Sys.executable_name) in
-  if Sys.file_exists (beside "golden") then
-    Filename.concat (beside "golden") name
-  else Filename.concat "golden" name
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let check_golden name () =
-  let src = read_file (golden (name ^ ".go")) in
-  let expected = read_file (golden (name ^ ".disasm")) in
+  let src = Helpers.read_file (Helpers.golden (name ^ ".go")) in
+  let expected = Helpers.read_file (Helpers.golden (name ^ ".disasm")) in
   let got =
     match Gofree_api.disassemble_string src with
     | Ok s -> s
@@ -40,7 +25,7 @@ let check_golden name () =
    lowering, so a listing that parses as non-empty with the expected
    header shape is cross-checked by running the program too. *)
 let test_disasm_matches_run () =
-  let src = read_file (golden "maps_structs.go") in
+  let src = Helpers.read_file (Helpers.golden "maps_structs.go") in
   (match Gofree_api.run_string src with
   | Ok outcome ->
     Alcotest.(check bool) "runs clean" false outcome.Gofree_api.panicked

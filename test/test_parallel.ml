@@ -1,19 +1,25 @@
-(** The multi-domain runtime ([--domains N]).
+(** The goroutine scheduler ([--domains N]; 0 is an alias for 1).
 
-    The hard gate: [--domains 1] must be byte-identical to the
-    sequential scheduler — same output, same step count, same metrics
-    JSON (modulo the one wall-clock field) — across every Table 6
-    workload, the goroutine fan-out workload and all three engines.
+    The hard gate: at one domain the schedule is deterministic, and a
+    run at [domains] 0 and 1 must reproduce the committed golden files
+    in [test/golden/parallel] — same output, same step count, same
+    [panicked], same metrics JSON (modulo the one wall-clock field) —
+    across every Table 6 workload, the goroutine fan-out workload and
+    all three engines.  The goldens were generated by the earlier
+    sequential effect-handler scheduler under these settings (seed 42,
+    96 KiB [min_heap], default size), so the gate pins that schedule.
     Multi-domain runs are nondeterministically interleaved, so they are
     held to conservation invariants instead: every allocation is
     accounted for by exactly one of tcfree / GC / still-live, outputs
-    are a line permutation of the sequential run, and the work-stealing
+    are a line permutation of the golden output, and the work-stealing
     scheduler actually moves goroutines. *)
 
 module Rt = Gofree_runtime
 module W = Gofree_workloads.Workloads
 module Reg = Gofree_obs.Registry
 module Wsq = Gofree_sched.Wsq
+module Json = Gofree_obs.Json
+module Trace = Gofree_obs.Trace
 
 let engines =
   [
@@ -22,7 +28,7 @@ let engines =
     ("bytecode", Gofree_interp.Interp.Eng_bytecode);
   ]
 
-let run_mode ~engine ~domains ?(seed = 42) src =
+let run_mode ~engine ~domains ?(seed = 42) ?(poison = false) src =
   let run_config =
     {
       Gofree_interp.Interp.default_config with
@@ -30,6 +36,7 @@ let run_mode ~engine ~domains ?(seed = 42) src =
         {
           Rt.Heap.default_config with
           min_heap = 96 * 1024;  (* small heap: force real GC activity *)
+          poison_on_free = poison;
         };
       engine;
       domains;
@@ -43,45 +50,51 @@ let metrics_fingerprint (m : Rt.Metrics.t) : string =
   Gofree_obs.Json.to_string_pretty (Rt.Metrics.to_json m)
 
 (* ---------------------------------------------------------------- *)
-(* The hard gate: --domains 1 == sequential, byte for byte           *)
+(* The hard gate: domains 0 and 1 reproduce the goldens exactly      *)
 (* ---------------------------------------------------------------- *)
 
-let check_identity ~name ~engine src =
-  let seq = run_mode ~engine ~domains:0 src in
-  let par = run_mode ~engine ~domains:1 src in
-  Alcotest.(check string)
-    (name ^ ": output")
-    seq.Gofree_interp.Runner.output par.Gofree_interp.Runner.output;
-  Alcotest.(check int)
-    (name ^ ": steps")
-    seq.Gofree_interp.Runner.steps par.Gofree_interp.Runner.steps;
-  Alcotest.(check bool)
-    (name ^ ": panicked")
-    seq.Gofree_interp.Runner.panicked par.Gofree_interp.Runner.panicked;
-  Alcotest.(check string)
-    (name ^ ": metrics")
-    (metrics_fingerprint seq.Gofree_interp.Runner.metrics)
-    (metrics_fingerprint par.Gofree_interp.Runner.metrics)
+let load_golden name =
+  Json.parse
+    (Helpers.read_file (Helpers.golden ("parallel/" ^ name ^ ".json")))
+
+let check_identity ~name ~engine w =
+  let g = load_golden w.W.w_name in
+  List.iter
+    (fun domains ->
+      let r = run_mode ~engine ~domains (W.source_of w) in
+      let name = Printf.sprintf "%s/domains=%d" name domains in
+      Alcotest.(check string)
+        (name ^ ": output") (Json.get_string "output" g)
+        r.Gofree_interp.Runner.output;
+      Alcotest.(check int)
+        (name ^ ": steps") (Json.get_int "steps" g)
+        r.Gofree_interp.Runner.steps;
+      Alcotest.(check bool)
+        (name ^ ": panicked")
+        (Json.get "panicked" g = Json.Bool true)
+        r.Gofree_interp.Runner.panicked;
+      Alcotest.(check string)
+        (name ^ ": metrics")
+        (Json.to_string_pretty (Json.get "metrics" g))
+        (metrics_fingerprint r.Gofree_interp.Runner.metrics))
+    [ 0; 1 ]
 
 let test_identity_workloads () =
   List.iter
     (fun w ->
       List.iter
         (fun (ename, engine) ->
-          check_identity
-            ~name:(w.W.w_name ^ "/" ^ ename)
-            ~engine (W.source_of w))
+          check_identity ~name:(w.W.w_name ^ "/" ^ ename) ~engine w)
         engines)
     W.all
 
 let test_identity_fanout () =
-  (* goroutine-bearing program: the single-domain scheduler must replay
-     the sequential interleaving exactly — slice budgets, goroutine ids,
-     mcache assignment and all *)
-  let src = W.source_of W.fanout in
+  (* goroutine-bearing program: one domain must replay the pinned
+     interleaving exactly — slice budgets, goroutine ids, mcache
+     assignment and all *)
   List.iter
     (fun (ename, engine) ->
-      check_identity ~name:("fanout/" ^ ename) ~engine src)
+      check_identity ~name:("fanout/" ^ ename) ~engine W.fanout)
     engines
 
 (* ---------------------------------------------------------------- *)
@@ -94,15 +107,17 @@ let sorted_lines s =
 let sum = Array.fold_left ( + ) 0
 
 let test_multi_domain_conservation () =
-  let src = W.source_of W.fanout in
-  let seq = run_mode ~engine:Gofree_interp.Interp.Eng_bytecode ~domains:0 src
-  and par = run_mode ~engine:Gofree_interp.Interp.Eng_bytecode ~domains:4 src in
-  let sm = seq.Gofree_interp.Runner.metrics
-  and pm = par.Gofree_interp.Runner.metrics in
+  let g = load_golden W.fanout.W.w_name in
+  let sm = Rt.Metrics.of_json (Json.get "metrics" g) in
+  let par =
+    run_mode ~engine:Gofree_interp.Interp.Eng_bytecode ~domains:4
+      (W.source_of W.fanout)
+  in
+  let pm = par.Gofree_interp.Runner.metrics in
   (* same program, different interleaving: outputs are permutations *)
   Alcotest.(check string)
-    "output is a line permutation of sequential"
-    (sorted_lines seq.Gofree_interp.Runner.output)
+    "output is a line permutation of the golden output"
+    (sorted_lines (Json.get_string "output" g))
     (sorted_lines par.Gofree_interp.Runner.output);
   (* allocation volume is interleaving-independent *)
   Alcotest.(check int)
@@ -119,6 +134,59 @@ let test_multi_domain_conservation () =
   Alcotest.(check int)
     "no heap-to-stack pointers" 0 pm.Rt.Metrics.heap_to_stack_pointers;
   Alcotest.(check bool) "ran some GC" true (pm.Rt.Metrics.gc_cycles > 0)
+
+(* A spawned goroutine's arguments must stay GC roots until its body
+   starts: [main] keeps allocating escaping buffers (forcing GC cycles)
+   while [reader] sits queued holding the only reference to its
+   argument.  Under poison mode a reclaimed argument would be read as
+   freed memory. *)
+let pending_args_src =
+  {|
+var sink []int
+
+func mk(n int) []int {
+  s := make([]int, n)
+  s[0] = 11
+  s[n-1] = 77
+  return s
+}
+
+func reader(s []int) {
+  println("reader", s[0], s[len(s)-1], len(s))
+}
+
+func main() {
+  go reader(mk(64))
+  for i := 0; i < 100; i++ {
+    b := make([]int, 4096)
+    b[0] = i
+    sink = b
+  }
+  println("main done")
+}
+|}
+
+let test_pending_args_rooted () =
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun (ename, engine) ->
+          let name = Printf.sprintf "%s/domains=%d" ename domains in
+          match run_mode ~engine ~domains ~poison:true pending_args_src with
+          | r ->
+            let m = r.Gofree_interp.Runner.metrics in
+            Alcotest.(check int)
+              (name ^ ": poison reads") 0 m.Rt.Metrics.poison_reads;
+            Alcotest.(check bool)
+              (name ^ ": ran some GC") true (m.Rt.Metrics.gc_cycles > 0);
+            Alcotest.(check string)
+              (name ^ ": output")
+              (sorted_lines "reader 11 77 64\nmain done\n")
+              (sorted_lines r.Gofree_interp.Runner.output)
+          | exception Gofree_interp.Value.Corruption msg ->
+            Alcotest.failf "%s: %s" name msg)
+        engines)
+    [ 1; 2 ]
 
 let sched_counter name =
   Reg.counter_value (Reg.counter Reg.runtime name)
@@ -148,6 +216,61 @@ let test_work_stealing_observable () =
   Alcotest.(check bool)
     "yields published" true
     (sched_counter "gofree_sched_yields_total" > 0)
+
+let test_traced_slices () =
+  (* A traced 2-domain fan-out run puts a "run g<id>" slice span for
+     main and for every spawned goroutine on the scheduler-domain
+     tracks, with begin/end pairs matched per track. *)
+  let size = 4 in
+  Trace.start ();
+  let r =
+    match
+      run_mode ~engine:Gofree_interp.Interp.Eng_bytecode ~domains:2
+        (W.source_of ~size W.fanout)
+    with
+    | r -> r
+    | exception e ->
+      ignore (Trace.stop ());
+      raise e
+  in
+  let events = Json.get_list "traceEvents" (Json.parse (Trace.stop ())) in
+  let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
+  let slices = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      let tid = Json.get_int "tid" e and name = Json.get_string "name" e in
+      let stack = Option.value (Hashtbl.find_opt stacks tid) ~default:[] in
+      match Json.get_string "ph" e with
+      | "B" ->
+        if String.starts_with ~prefix:"run g" name then begin
+          Alcotest.(check bool)
+            (name ^ " on a domain track") true
+            (tid = Trace.tid_sched 0 || tid = Trace.tid_sched 1);
+          Hashtbl.replace slices name ()
+        end;
+        Hashtbl.replace stacks tid (name :: stack)
+      | "E" -> begin
+        match stack with
+        | top :: rest ->
+          Alcotest.(check string) "E closes innermost B" top name;
+          Hashtbl.replace stacks tid rest
+        | [] -> Alcotest.failf "E without open B on tid %d" tid
+      end
+      | _ -> ())
+    events;
+  Hashtbl.iter
+    (fun tid stack ->
+      Alcotest.(check int)
+        (Printf.sprintf "tid %d spans all closed" tid)
+        0 (List.length stack))
+    stacks;
+  Alcotest.(check bool) "run g0 present" true (Hashtbl.mem slices "run g0");
+  Alcotest.(check int)
+    "one slice name per goroutine (main + spawned)" (1 + size)
+    (Hashtbl.length slices);
+  Alcotest.(check bool)
+    "program completed" false
+    r.Gofree_interp.Runner.panicked
 
 (* ---------------------------------------------------------------- *)
 (* Concurrency primitives                                            *)
@@ -241,8 +364,12 @@ let suite =
       test_identity_fanout;
     Alcotest.test_case "domains=4 conservation invariants" `Quick
       test_multi_domain_conservation;
+    Alcotest.test_case "pending spawn arguments are GC roots" `Quick
+      test_pending_args_rooted;
     Alcotest.test_case "work stealing moves goroutines" `Quick
       test_work_stealing_observable;
+    Alcotest.test_case "traced domains=2 run: slice span per goroutine"
+      `Quick test_traced_slices;
     Alcotest.test_case "wsq: concurrent push/pop/steal conserve items"
       `Quick test_wsq_concurrent;
     Alcotest.test_case "metrics stripes merge to exact sums" `Quick
