@@ -5,6 +5,12 @@
     across domain counts.  [host_cores] records what the host
     recommends, so rows above it are read as oversubscribed.
 
+    Each row also reports the interpreter's own cost on the host: the
+    median number of host OCaml minor collections per run (in OCaml 5
+    each one stops every domain) and [wall_max_over_median], the slowest
+    run's wall time over the median, which shows run-to-run spread.
+    Both are reported, not gated.
+
     The Table 6 proxies have sequential mains, so only the fan-out
     workload exercises the work-stealing scheduler; it is also excluded
     from the committed single-domain baselines, which keeps this section
@@ -19,6 +25,7 @@ open Bench_common
 
 let domain_counts = [ 1; 2; 4 ]
 
+(* One run, plus the host minor collections it caused. *)
 let run_domains ~options ~domains source =
   (* settle the host OCaml GC so its pauses don't pollute the sample *)
   Gc.major ();
@@ -32,13 +39,17 @@ let run_domains ~options ~domains source =
       domains;
     }
   in
-  Gofree_interp.Runner.compile_and_run ~run_config source
+  let minors0 = (Gc.quick_stat ()).Gc.minor_collections in
+  let r = Gofree_interp.Runner.compile_and_run ~run_config source in
+  (r, (Gc.quick_stat ()).Gc.minor_collections - minors0)
 
 let counter name = Reg.counter_value (Reg.counter Reg.runtime name)
 
 type row = {
   p_domains : int;
   p_wall_ns : float;  (** median *)
+  p_wall_max_over_median : float;
+  p_minor_gcs : float;  (** host OCaml minor collections, median per run *)
   p_gcs : int;
   p_alloced : int;
   p_tcfree_calls : int;
@@ -57,20 +68,25 @@ let measure_rows ~options source : row list =
       let spawns0 = counter "gofree_sched_spawns_total" in
       let yields0 = counter "gofree_sched_yields_total" in
       let n = max 1 options.runs in
-      let samples =
+      let runs =
         Array.init n (fun _ -> run_domains ~options ~domains:nd source)
       in
-      let wall =
-        Stats.median
-          (Array.map
-             (fun r -> Int64.to_float r.Gofree_interp.Runner.wall_ns)
-             samples)
+      let samples = Array.map fst runs in
+      let walls =
+        Array.map
+          (fun r -> Int64.to_float r.Gofree_interp.Runner.wall_ns)
+          samples
       in
+      let wall = Stats.median walls in
       let m = samples.(n - 1).Gofree_interp.Runner.metrics in
       let per_run c0 c = float_of_int (c - c0) /. float_of_int n in
       {
         p_domains = nd;
         p_wall_ns = wall;
+        p_wall_max_over_median =
+          (if wall > 0.0 then Array.fold_left max 0.0 walls /. wall else 0.0);
+        p_minor_gcs =
+          Stats.median (Array.map (fun (_, k) -> float_of_int k) runs);
         p_gcs = m.Rt.Metrics.gc_cycles;
         p_alloced = m.Rt.Metrics.alloced_bytes;
         p_tcfree_calls = m.Rt.Metrics.tcfree_calls;
@@ -101,6 +117,9 @@ let measure ~options () : Json.t =
                  [
                    ("domains", Json.Int r.p_domains);
                    ("wall_ns", Json.Float r.p_wall_ns);
+                   ("wall_max_over_median",
+                    Json.Float r.p_wall_max_over_median);
+                   ("host_minor_gcs", Json.Float r.p_minor_gcs);
                    ( "speedup_vs_1",
                      Json.Float
                        (if r.p_wall_ns > 0.0 then base_wall /. r.p_wall_ns
@@ -125,12 +144,12 @@ let run ~options () =
     match rows with r :: _ -> r.p_wall_ns | [] -> 0.0
   in
   Printf.printf "  host cores: %d\n" (Domain.recommended_domain_count ());
-  Printf.printf "  %-8s %12s %9s %8s %10s %10s\n" "domains" "wall"
-    "speedup" "GCs" "steals" "spawns";
+  Printf.printf "  %-8s %12s %9s %8s %10s %10s %11s %9s\n" "domains"
+    "wall" "speedup" "GCs" "steals" "spawns" "host minor" "max/med";
   List.iter
     (fun r ->
-      Printf.printf "  %-8d %10.2fms %7.2fx %8d %10.1f %10.1f\n" r.p_domains
-        (r.p_wall_ns /. 1e6)
+      Printf.printf "  %-8d %10.2fms %7.2fx %8d %10.1f %10.1f %11.0f %8.2fx\n"
+        r.p_domains (r.p_wall_ns /. 1e6)
         (if r.p_wall_ns > 0.0 then base_wall /. r.p_wall_ns else 0.0)
-        r.p_gcs r.p_steals r.p_spawns)
+        r.p_gcs r.p_steals r.p_spawns r.p_minor_gcs r.p_wall_max_over_median)
     rows

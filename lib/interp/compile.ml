@@ -123,7 +123,7 @@ let compile_declare ctx (v : Tast.var) : state -> frame -> Value.value -> unit
       let c = Value.cell value in
       let obj =
         alloc_heap_obj st ~category:Rt.Metrics.Cat_other ~size
-          ~payload:(Value.Pcells [| c |])
+          ~payload:(Value.Pbox c)
       in
       fr.slots.(s) <- Bboxed (obj.Rt.Heap.addr, c)
   end
@@ -172,7 +172,7 @@ let rec compile_expr ctx (e : Tast.expr) : ev =
     let ca = compile_expr ctx a in
     fun st fr ->
       (match ca st fr with
-      | Value.VPtr p -> Value.read_cell p.Value.p_cell
+      | Value.VPtr p -> Value.ptr_get p
       | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
       | _ -> raise (Runtime_error "dereference of a non-pointer"))
   | Tast.Tindex (a, i) ->
@@ -184,7 +184,7 @@ let rec compile_expr ctx (e : Tast.expr) : ev =
       | Value.VSlice s ->
         if vi < 0 || vi >= s.Value.s_len then
           raise (Panic (Value.VStr "index out of range"));
-        Value.read_cell s.Value.s_cells.(s.Value.s_off + vi)
+        Value.read_elem s.Value.s_elems (s.Value.s_off + vi)
       | Value.VStr s ->
         if vi < 0 || vi >= String.length s then
           raise (Panic (Value.VStr "index out of range"));
@@ -209,7 +209,7 @@ let rec compile_expr ctx (e : Tast.expr) : ev =
     fun st fr ->
       let base =
         match ca st fr with
-        | Value.VPtr p -> Value.read_cell p.Value.p_cell
+        | Value.VPtr p -> Value.ptr_get p
         | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
         | v -> v
       in
@@ -235,7 +235,6 @@ let rec compile_expr ctx (e : Tast.expr) : ev =
   end
   | Tast.Tmake_slice (site, elem, len, cap) -> begin
     let clen = compile_expr ctx len in
-    let elem_size = site.Tast.site_elem_size in
     let tenv = ctx.tenv in
     let zero_of () = Value.zero tenv elem in
     match cap with
@@ -246,13 +245,13 @@ let rec compile_expr ctx (e : Tast.expr) : ev =
         if len < 0 then
           raise (Panic (Value.VStr "makeslice: negative length"));
         let cap = as_int (ccap st fr) in
-        make_slice_obj st fr ~site ~elem_size ~len ~cap ~zero_of
+        make_slice_obj st fr ~site ~len ~cap ~zero_of
     | None ->
       fun st fr ->
         let len = as_int (clen st fr) in
         if len < 0 then
           raise (Panic (Value.VStr "makeslice: negative length"));
-        make_slice_obj st fr ~site ~elem_size ~len ~cap:len ~zero_of
+        make_slice_obj st fr ~site ~len ~cap:len ~zero_of
   end
   | Tast.Tmake_map (site, _, _) -> fun st fr -> make_map_obj st fr ~site
   | Tast.Tnew (site, ty) ->
@@ -262,24 +261,13 @@ let rec compile_expr ctx (e : Tast.expr) : ev =
       let c = Value.cell (Value.zero tenv ty) in
       let obj =
         alloc_obj st fr ~site ~category:Rt.Metrics.Cat_other ~size
-          ~payload:(Value.Pcells [| c |])
-      in
-      pin st fr (Value.VPtr { Value.p_owner = obj.Rt.Heap.addr; p_cell = c })
-  | Tast.Tslice_lit (site, _, es) ->
-    let ces = List.map (compile_expr ctx) es in
-    let nelems = List.length es in
-    let size = max 1 (nelems * site.Tast.site_elem_size) in
-    fun st fr ->
-      let vs = eval_list_copy ces st fr in
-      let cells = Array.of_list (List.map Value.cell vs) in
-      let obj =
-        alloc_obj st fr ~site ~category:Rt.Metrics.Cat_slice ~size
-          ~payload:(Value.Pcells cells)
+          ~payload:(Value.Pbox c)
       in
       pin st fr
-        (Value.VSlice
-           { Value.s_addr = obj.Rt.Heap.addr; s_cells = cells; s_off = 0;
-             s_len = nelems })
+        (Value.VPtr (Value.Pcell { owner = obj.Rt.Heap.addr; cell = c }))
+  | Tast.Tslice_lit (site, _, es) ->
+    let ces = List.map (compile_expr ctx) es in
+    fun st fr -> slice_lit st fr ~site (eval_list_copy ces st fr)
   | Tast.Tstruct_lit (_, es) ->
     let ces = List.map (compile_expr ctx) es in
     fun st fr ->
@@ -296,9 +284,10 @@ let rec compile_expr ctx (e : Tast.expr) : ev =
       let c = Value.cell v in
       let obj =
         alloc_obj st fr ~site ~category:Rt.Metrics.Cat_other ~size
-          ~payload:(Value.Pcells [| c |])
+          ~payload:(Value.Pbox c)
       in
-      pin st fr (Value.VPtr { Value.p_owner = obj.Rt.Heap.addr; p_cell = c })
+      pin st fr
+        (Value.VPtr (Value.Pcell { owner = obj.Rt.Heap.addr; cell = c }))
   | Tast.Tappend (site, s, vs) ->
     let cs = compile_expr ctx s in
     let cvs = List.map (compile_expr ctx) vs in
@@ -320,7 +309,7 @@ let rec compile_expr ctx (e : Tast.expr) : ev =
     fun st fr ->
       (match ca st fr with
       | Value.VSlice s ->
-        Value.VInt (Array.length s.Value.s_cells - s.Value.s_off)
+        Value.VInt (Array.length s.Value.s_elems - s.Value.s_off)
       | Value.VNil -> Value.VInt 0
       | _ -> raise (Runtime_error "cap of unsupported value"))
   | Tast.Titoa a ->
@@ -353,7 +342,7 @@ let rec compile_expr ctx (e : Tast.expr) : ev =
       in
       (match base with
       | Value.VSlice s ->
-        let cap = Array.length s.Value.s_cells - s.Value.s_off in
+        let cap = Array.length s.Value.s_elems - s.Value.s_off in
         let lo = bound 0 clo in
         let hi = bound s.Value.s_len chi in
         if lo < 0 || hi > cap || lo > hi then
@@ -378,18 +367,7 @@ let rec compile_expr ctx (e : Tast.expr) : ev =
       let vd = cd st fr in
       let vs = cs st fr in
       (match (vd, vs) with
-      | Value.VSlice d, Value.VSlice s ->
-        (* memmove semantics: snapshot the source first *)
-        let n = min d.Value.s_len s.Value.s_len in
-        let snapshot =
-          Array.init n (fun i ->
-              Value.copy
-                (Value.read_cell s.Value.s_cells.(s.Value.s_off + i)))
-        in
-        for i = 0 to n - 1 do
-          d.Value.s_cells.(d.Value.s_off + i).Value.v <- snapshot.(i)
-        done;
-        Value.VInt n
+      | Value.VSlice d, Value.VSlice s -> Value.VInt (slice_copy d s)
       | (Value.VNil, _ | _, Value.VNil) -> Value.VInt 0
       | _ -> raise (Runtime_error "copy on non-slices"))
   | Tast.Tmap_get_ok (m, k) ->
@@ -430,8 +408,8 @@ and compile_addr ctx (lv : Tast.lvalue) : ev =
     let cb = compile_var_binding ctx v in
     fun st fr ->
       (match cb st fr with
-      | Bdirect c -> Value.VPtr { Value.p_owner = 0; p_cell = c }
-      | Bboxed (addr, c) -> Value.VPtr { Value.p_owner = addr; p_cell = c }
+      | Bdirect c -> Value.VPtr (Value.Pcell { owner = 0; cell = c })
+      | Bboxed (addr, c) -> Value.VPtr (Value.Pcell { owner = addr; cell = c })
       | Bunbound -> raise (Runtime_error "unbound variable"))
   | Tast.Lderef e -> compile_expr ctx e
   | Tast.Lindex (a, i) ->
@@ -444,8 +422,9 @@ and compile_addr ctx (lv : Tast.lvalue) : ev =
         if vi < 0 || vi >= s.Value.s_len then
           raise (Panic (Value.VStr "index out of range"));
         Value.VPtr
-          { Value.p_owner = s.Value.s_addr;
-            p_cell = s.Value.s_cells.(s.Value.s_off + vi) }
+          (Value.Pelem
+             { owner = s.Value.s_addr; arr = s.Value.s_elems;
+               idx = s.Value.s_off + vi })
       | _ -> raise (Runtime_error "cannot take address of this element"))
   | Tast.Lmap _ ->
     fun _ _ -> raise (Runtime_error "cannot take address of map element")
@@ -457,10 +436,10 @@ and compile_addr ctx (lv : Tast.lvalue) : ev =
       fun st fr ->
         (match cbase st fr with
         | Value.VPtr p -> begin
-          match Value.read_cell p.Value.p_cell with
+          match Value.ptr_get p with
           | Value.VStruct cells ->
             Value.VPtr
-              { Value.p_owner = p.Value.p_owner; p_cell = cells.(idx) }
+              (Value.Pcell { owner = Value.ptr_owner p; cell = cells.(idx) })
           | _ -> raise (Runtime_error "field of non-struct")
         end
         | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
@@ -479,7 +458,7 @@ and compile_addr ctx (lv : Tast.lvalue) : ev =
           in
           (match Value.read_cell c with
           | Value.VStruct cells ->
-            Value.VPtr { Value.p_owner = owner; p_cell = cells.(idx) }
+            Value.VPtr (Value.Pcell { owner; cell = cells.(idx) })
           | _ -> raise (Runtime_error "field of non-struct"))
       | _ ->
         (* nested struct value: VStruct shares its cells, so evaluating
@@ -492,7 +471,7 @@ and compile_addr ctx (lv : Tast.lvalue) : ev =
           (match cbase st fr with
           | Value.VStruct cells ->
             let owner = cowner st fr in
-            Value.VPtr { Value.p_owner = owner; p_cell = cells.(idx) }
+            Value.VPtr (Value.Pcell { owner; cell = cells.(idx) })
           | _ -> raise (Runtime_error "field of non-struct"))
     end
   end
@@ -506,7 +485,7 @@ and compile_struct_owner ctx (e : Tast.expr) : state -> frame -> int =
     | Types.Ptr _ ->
       let cinner = compile_expr ctx inner in
       fun st fr ->
-        (match cinner st fr with Value.VPtr p -> p.Value.p_owner | _ -> 0)
+        (match cinner st fr with Value.VPtr p -> Value.ptr_owner p | _ -> 0)
     | _ -> compile_struct_owner ctx inner
   end
   | Tast.Tindex (arr, _) ->
@@ -516,7 +495,7 @@ and compile_struct_owner ctx (e : Tast.expr) : state -> frame -> int =
   | Tast.Tderef p ->
     let cp = compile_expr ctx p in
     fun st fr ->
-      (match cp st fr with Value.VPtr ptr -> ptr.Value.p_owner | _ -> 0)
+      (match cp st fr with Value.VPtr ptr -> Value.ptr_owner ptr | _ -> 0)
   | _ -> fun _ _ -> 0
 
 (* Assignment: resolve the target, then write (the caller evaluates the
@@ -531,7 +510,7 @@ and compile_assign ctx (lv : Tast.lvalue) :
     let ce = compile_expr ctx e in
     fun st fr value ->
       (match ce st fr with
-      | Value.VPtr p -> p.Value.p_cell.Value.v <- Value.copy value
+      | Value.VPtr p -> Value.ptr_set p (Value.copy value)
       | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
       | _ -> raise (Runtime_error "assignment through non-pointer"))
   | Tast.Lindex (a, i) ->
@@ -543,7 +522,7 @@ and compile_assign ctx (lv : Tast.lvalue) :
       | Value.VSlice s ->
         if vi < 0 || vi >= s.Value.s_len then
           raise (Panic (Value.VStr "index out of range"));
-        s.Value.s_cells.(s.Value.s_off + vi).Value.v <- Value.copy value
+        s.Value.s_elems.(s.Value.s_off + vi) <- Value.copy value
       | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
       | _ -> raise (Runtime_error "cannot assign into this value"))
   | Tast.Lmap (m, k) ->
@@ -560,7 +539,7 @@ and compile_assign ctx (lv : Tast.lvalue) :
     let caddr = compile_addr ctx (Tast.Lfield (base, idx, "")) in
     fun st fr value ->
       (match caddr st fr with
-      | Value.VPtr p -> p.Value.p_cell.Value.v <- Value.copy value
+      | Value.VPtr p -> Value.ptr_set p (Value.copy value)
       | _ -> raise (Runtime_error "bad field target"))
 
 and compile_stmt ctx (s : Tast.stmt) : ex =

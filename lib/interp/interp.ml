@@ -506,7 +506,7 @@ let par_gc st (p : parctx) =
     p.p_running <- p.p_running + 1;
     Mutex.unlock p.p_mutex
   end
-  else if heap.Rt.Heap.gc_requested then begin
+  else if Atomic.get heap.Rt.Heap.gc_requested then begin
     (* leader *)
     p.p_gc_active <- true;
     p.p_running <- p.p_running - 1;
@@ -540,7 +540,9 @@ let safepoint_slow st =
   if st.steps > st.config.max_steps then
     raise (Runtime_error "step budget exhausted (infinite loop?)");
   let heap = st.heap in
-  if heap.Rt.Heap.gc_requested && not heap.Rt.Heap.config.Rt.Heap.gc_disabled
+  if
+    Atomic.get heap.Rt.Heap.gc_requested
+    && not heap.Rt.Heap.config.Rt.Heap.gc_disabled
   then begin
     if st.par.p_nd > 1 then par_gc st st.par
     else Rt.Gc_collector.collect heap
@@ -563,7 +565,7 @@ let safepoint st =
   let heap = st.heap in
   if
     st.steps >= st.yield_at
-    || heap.Rt.Heap.gc_requested
+    || Atomic.get heap.Rt.Heap.gc_requested
     || heap.Rt.Heap.sampler != None
     || st.steps > st.config.max_steps
   then safepoint_slow st
@@ -591,17 +593,51 @@ let alloc_heap_obj st ~category ~size ~payload =
   Rt.Heap.alloc_heap st.heap ~thread:(cur_thread st) ~category ~size
     ~payload
 
-let make_slice_obj st fr ~site ~elem_size ~len ~cap ~zero_of : Value.value =
-  let cap = max cap len in
-  let cells = Array.init cap (fun _ -> Value.cell (zero_of ())) in
-  let size = max 1 (cap * elem_size) in
+(* The one place a slice backing object is allocated ([make], slice
+   literals and append growth): one host block for the elements, one
+   simulated object of [cap × elem size] bytes, and the pinned header.
+   Growth arrays always come from the heap (§4.6.1); the others follow
+   their site's escape decision. *)
+let alloc_slice st fr ~(site : Tast.alloc_site) ~growth
+    (elems : Value.value array) ~len : Value.value =
+  let size = max 1 (Array.length elems * site.Tast.site_elem_size) in
+  let payload = Value.Pelems elems in
   let obj =
-    alloc_obj st fr ~site ~category:Rt.Metrics.Cat_slice ~size
-      ~payload:(Value.Pcells cells)
+    if growth then
+      alloc_heap_obj st ~category:Rt.Metrics.Cat_slice ~size ~payload
+    else alloc_obj st fr ~site ~category:Rt.Metrics.Cat_slice ~size ~payload
   in
   pin st fr
-    (Value.VSlice { Value.s_addr = obj.Rt.Heap.addr; s_cells = cells;
+    (Value.VSlice { Value.s_addr = obj.Rt.Heap.addr; s_elems = elems;
                     s_off = 0; s_len = len })
+
+(* Zero-filled backing array.  A scalar, pointer, slice or map zero is
+   immutable, so one value fills every element; a struct zero is a fresh
+   cell array per element (value semantics). *)
+let make_slice_obj st fr ~site ~len ~cap ~zero_of : Value.value =
+  let cap = max cap len in
+  let elems =
+    match zero_of () with
+    | Value.VStruct _ -> Array.init cap (fun _ -> zero_of ())
+    | z -> Array.make cap z
+  in
+  alloc_slice st fr ~site ~growth:false elems ~len
+
+let slice_lit st fr ~site (vs : Value.value list) : Value.value =
+  let elems = Array.of_list vs in
+  alloc_slice st fr ~site ~growth:false elems ~len:(Array.length elems)
+
+(* [copy(d, s)] with memmove semantics: snapshot the source first so
+   overlapping views of one backing array copy correctly, like Go.
+   Returns the element count. *)
+let slice_copy (d : Value.slice) (s : Value.slice) : int =
+  let n = min d.Value.s_len s.Value.s_len in
+  let snapshot =
+    Array.init n (fun i ->
+        Value.copy (Value.read_elem s.Value.s_elems (s.Value.s_off + i)))
+  in
+  Array.blit snapshot 0 d.Value.s_elems d.Value.s_off n;
+  n
 
 let bucket_overhead = 16
 
@@ -803,7 +839,7 @@ let declare_var st fr (v : Tast.var) (value : Value.value) =
       let size = Types.size_of st.program.Tast.p_tenv v.Tast.v_ty in
       let obj =
         alloc_heap_obj st ~category:Rt.Metrics.Cat_other ~size:(max 8 size)
-          ~payload:(Value.Pcells [| c |])
+          ~payload:(Value.Pbox c)
       in
       Bboxed (obj.Rt.Heap.addr, c)
     end
@@ -872,10 +908,10 @@ and value_eq (a : Value.value) (b : Value.value) =
   | VNil, (VPtr _ | VSlice _ | VMap _) | (VPtr _ | VSlice _ | VMap _), VNil
     ->
     false
-  | VPtr x, VPtr y -> x.p_cell == y.p_cell
+  | VPtr x, VPtr y -> ptr_equal x y
   | VMap x, VMap y -> x = y
   | VSlice x, VSlice y ->
-    x.s_cells == y.s_cells && x.s_off = y.s_off && x.s_len = y.s_len
+    x.s_elems == y.s_elems && x.s_off = y.s_off && x.s_len = y.s_len
   | VPoison, _ | _, VPoison -> raise (Corruption "comparison with freed memory")
   | _ -> false
 
@@ -904,10 +940,10 @@ let tcfree_binding st (b : binding) (kind : Tast.free_kind) =
     | _ -> ()
   end
   | Value.VPtr p when kind = Tast.Free_obj ->
-    if p.Value.p_owner > 0 then
+    let owner = Value.ptr_owner p in
+    if owner > 0 then
       ignore
-        (Rt.Tcfree.tcfree st.heap ~thread ~source:Rt.Metrics.Src_slice
-           p.Value.p_owner)
+        (Rt.Tcfree.tcfree st.heap ~thread ~source:Rt.Metrics.Src_slice owner)
   | Value.VNil | Value.VPoison -> ()
   | _ -> ()
 
@@ -1028,7 +1064,7 @@ let rec eval st (e : Tast.expr) : Value.value =
   | Tast.Taddr lv -> eval_addr st lv
   | Tast.Tderef a -> begin
     match eval st a with
-    | Value.VPtr p -> Value.read_cell p.Value.p_cell
+    | Value.VPtr p -> Value.ptr_get p
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
     | _ -> raise (Runtime_error "dereference of a non-pointer")
   end
@@ -1039,7 +1075,7 @@ let rec eval st (e : Tast.expr) : Value.value =
     | Value.VSlice s ->
       if vi < 0 || vi >= s.Value.s_len then
         raise (Panic (Value.VStr "index out of range"));
-      Value.read_cell s.Value.s_cells.(s.Value.s_off + vi)
+      Value.read_elem s.Value.s_elems (s.Value.s_off + vi)
     | Value.VStr s ->
       if vi < 0 || vi >= String.length s then
         raise (Panic (Value.VStr "index out of range"));
@@ -1059,7 +1095,7 @@ let rec eval st (e : Tast.expr) : Value.value =
   | Tast.Tfield (a, idx, name) -> begin
     let base =
       match eval st a with
-      | Value.VPtr p -> Value.read_cell p.Value.p_cell
+      | Value.VPtr p -> Value.ptr_get p
       | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
       | v -> v
     in
@@ -1079,30 +1115,20 @@ let rec eval st (e : Tast.expr) : Value.value =
     let cap =
       match cap with Some c -> as_int (eval st c) | None -> len
     in
-    make_slice_obj st (cur_frame st) ~site
-      ~elem_size:site.Tast.site_elem_size ~len ~cap ~zero_of:(zero_of st elem)
+    make_slice_obj st (cur_frame st) ~site ~len ~cap ~zero_of:(zero_of st elem)
   | Tast.Tmake_map (site, _, _) -> make_map_obj st (cur_frame st) ~site
   | Tast.Tnew (site, ty) ->
     let c = Value.cell (Value.zero st.program.Tast.p_tenv ty) in
     let obj =
       alloc_obj st (cur_frame st) ~site ~category:Rt.Metrics.Cat_other
         ~size:(max 8 site.Tast.site_elem_size)
-        ~payload:(Value.Pcells [| c |])
+        ~payload:(Value.Pbox c)
     in
     pin st (cur_frame st)
-      (Value.VPtr { Value.p_owner = obj.Rt.Heap.addr; p_cell = c })
+      (Value.VPtr (Value.Pcell { owner = obj.Rt.Heap.addr; cell = c }))
   | Tast.Tslice_lit (site, _, es) ->
     let vs = List.map (fun e -> Value.copy (eval st e)) es in
-    let cells = Array.of_list (List.map Value.cell vs) in
-    let size = max 1 (Array.length cells * site.Tast.site_elem_size) in
-    let obj =
-      alloc_obj st (cur_frame st) ~site ~category:Rt.Metrics.Cat_slice ~size
-        ~payload:(Value.Pcells cells)
-    in
-    pin st (cur_frame st)
-      (Value.VSlice
-         { Value.s_addr = obj.Rt.Heap.addr; s_cells = cells; s_off = 0;
-           s_len = Array.length cells })
+    slice_lit st (cur_frame st) ~site vs
   | Tast.Tstruct_lit (_, es) ->
     Value.VStruct
       (Array.of_list
@@ -1117,10 +1143,10 @@ let rec eval st (e : Tast.expr) : Value.value =
     let obj =
       alloc_obj st (cur_frame st) ~site ~category:Rt.Metrics.Cat_other
         ~size:(max 8 site.Tast.site_elem_size)
-        ~payload:(Value.Pcells [| c |])
+        ~payload:(Value.Pbox c)
     in
     pin st (cur_frame st)
-      (Value.VPtr { Value.p_owner = obj.Rt.Heap.addr; p_cell = c })
+      (Value.VPtr (Value.Pcell { owner = obj.Rt.Heap.addr; cell = c }))
   | Tast.Tappend (site, s, vs) ->
     let base = eval st s in
     let elems = List.map (fun v -> Value.copy (eval st v)) vs in
@@ -1136,7 +1162,7 @@ let rec eval st (e : Tast.expr) : Value.value =
   | Tast.Tcap a -> begin
     match eval st a with
     | Value.VSlice s ->
-      Value.VInt (Array.length s.Value.s_cells - s.Value.s_off)
+      Value.VInt (Array.length s.Value.s_elems - s.Value.s_off)
     | Value.VNil -> Value.VInt 0
     | _ -> raise (Runtime_error "cap of unsupported value")
   end
@@ -1160,7 +1186,7 @@ let rec eval st (e : Tast.expr) : Value.value =
     in
     match base with
     | Value.VSlice s ->
-      let cap = Array.length s.Value.s_cells - s.Value.s_off in
+      let cap = Array.length s.Value.s_elems - s.Value.s_off in
       let lo = bound 0 lo in
       let hi = bound s.Value.s_len hi in
       if lo < 0 || hi > cap || lo > hi then
@@ -1184,7 +1210,7 @@ let rec eval st (e : Tast.expr) : Value.value =
     let vd = eval st dst in
     let vs = eval st src in
     match (vd, vs) with
-    | Value.VSlice d, Value.VSlice s -> slice_copy d s
+    | Value.VSlice d, Value.VSlice s -> Value.VInt (slice_copy d s)
     | (Value.VNil, _ | _, Value.VNil) -> Value.VInt 0
     | _ -> raise (Runtime_error "copy on non-slices")
   end
@@ -1214,60 +1240,33 @@ and recover st =
     Value.VStr (Value.to_string v)
   | None -> Value.VStr ""
 
-and slice_copy (d : Value.slice) (s : Value.slice) : Value.value =
-  (* memmove semantics: snapshot the source first so overlapping views
-     of one backing array copy correctly, like Go *)
-  let n = min d.Value.s_len s.Value.s_len in
-  let snapshot =
-    Array.init n (fun i ->
-        Value.copy (Value.read_cell s.Value.s_cells.(s.Value.s_off + i)))
-  in
-  for i = 0 to n - 1 do
-    d.Value.s_cells.(d.Value.s_off + i).Value.v <- snapshot.(i)
-  done;
-  Value.VInt n
-
 and eval_append st fr ~site base elems : Value.value =
   let open Value in
-  let old_len, old_off, old_cells =
+  let old_len, old_off, old_elems =
     match base with
-    | VSlice s -> (s.s_len, s.s_off, s.s_cells)
+    | VSlice s -> (s.s_len, s.s_off, s.s_elems)
     | VNil -> (0, 0, [||])
     | VPoison -> raise (Corruption "append to freed slice")
     | _ -> raise (Runtime_error "append to non-slice")
   in
   let n = List.length elems in
   let new_len = old_len + n in
-  if old_off + new_len <= Array.length old_cells then begin
+  if old_off + new_len <= Array.length old_elems then begin
     (* room within the view's capacity: write in place *)
-    List.iteri
-      (fun i v -> old_cells.(old_off + old_len + i).v <- v)
-      elems;
+    List.iteri (fun i v -> old_elems.(old_off + old_len + i) <- v) elems;
     match base with
     | VSlice s -> VSlice { s with s_len = new_len }
     | _ -> assert false
   end
   else begin
-    let old_cap = Array.length old_cells - old_off in
+    let old_cap = Array.length old_elems - old_off in
     let new_cap = max (max (2 * old_cap) new_len) 4 in
-    let cells =
-      Array.init new_cap (fun i ->
-          if i < old_len then
-            Value.cell (Value.read_cell old_cells.(old_off + i))
-          else Value.cell VNil)
-    in
-    List.iteri (fun i v -> cells.(old_len + i).v <- v) elems;
-    let size = max 1 (new_cap * site.Tast.site_elem_size) in
-    (* growth arrays always come from the heap (§4.6.1) *)
-    let obj =
-      alloc_heap_obj st ~category:Rt.Metrics.Cat_slice ~size
-        ~payload:(Pcells cells)
-    in
-    ignore site;
-    pin st fr
-      (VSlice
-         { s_addr = obj.Rt.Heap.addr; s_cells = cells; s_off = 0;
-           s_len = new_len })
+    let grown = Array.make new_cap VNil in
+    for i = 0 to old_len - 1 do
+      grown.(i) <- read_elem old_elems (old_off + i)
+    done;
+    List.iteri (fun i v -> grown.(old_len + i) <- v) elems;
+    alloc_slice st fr ~site ~growth:true grown ~len:new_len
   end
 
 (* Address-of: produce a pointer value. *)
@@ -1275,8 +1274,8 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
   match lv with
   | Tast.Lvar v -> begin
     match lookup_binding st v with
-    | Bdirect c -> Value.VPtr { Value.p_owner = 0; p_cell = c }
-    | Bboxed (addr, c) -> Value.VPtr { Value.p_owner = addr; p_cell = c }
+    | Bdirect c -> Value.VPtr (Value.Pcell { owner = 0; cell = c })
+    | Bboxed (addr, c) -> Value.VPtr (Value.Pcell { owner = addr; cell = c })
     | Bunbound -> raise (Runtime_error "unbound variable")
   end
   | Tast.Lderef e -> eval st e
@@ -1288,8 +1287,9 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
       if vi < 0 || vi >= s.Value.s_len then
         raise (Panic (Value.VStr "index out of range"));
       Value.VPtr
-        { Value.p_owner = s.Value.s_addr;
-          p_cell = s.Value.s_cells.(s.Value.s_off + vi) }
+        (Value.Pelem
+           { owner = s.Value.s_addr; arr = s.Value.s_elems;
+             idx = s.Value.s_off + vi })
     | _ -> raise (Runtime_error "cannot take address of this element")
   end
   | Tast.Lmap _ -> raise (Runtime_error "cannot take address of map element")
@@ -1300,8 +1300,8 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
         (* pointer base: the field cell lives inside the pointee *)
         match eval st base with
         | Value.VPtr p -> begin
-          match Value.read_cell p.Value.p_cell with
-          | Value.VStruct cells -> (p.Value.p_owner, cells)
+          match Value.ptr_get p with
+          | Value.VStruct cells -> (Value.ptr_owner p, cells)
           | _ -> raise (Runtime_error "field of non-struct")
         end
         | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
@@ -1333,7 +1333,7 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
         end
       end
     in
-    Value.VPtr { Value.p_owner = owner; p_cell = cells.(idx) }
+    Value.VPtr (Value.Pcell { owner; cell = cells.(idx) })
   end
 
 (* The heap object owning the storage of a struct-valued expression, for
@@ -1344,7 +1344,7 @@ and owner_of_struct_base st (e : Tast.expr) : int =
     match inner.Tast.ty with
     | Types.Ptr _ -> begin
       match eval st inner with
-      | Value.VPtr p -> p.Value.p_owner
+      | Value.VPtr p -> Value.ptr_owner p
       | _ -> 0
     end
     | _ -> owner_of_struct_base st inner
@@ -1353,18 +1353,24 @@ and owner_of_struct_base st (e : Tast.expr) : int =
     match eval st arr with Value.VSlice s -> s.Value.s_addr | _ -> 0
   end
   | Tast.Tderef p -> begin
-    match eval st p with Value.VPtr ptr -> ptr.Value.p_owner | _ -> 0
+    match eval st p with Value.VPtr ptr -> Value.ptr_owner ptr | _ -> 0
   end
   | _ -> 0
 
 (* An lvalue resolved to mutable storage. *)
 and eval_lvalue_target st (lv : Tast.lvalue) :
-    [ `Cell of Value.cell | `Map of int * Value.value ] =
+    [ `Cell of Value.cell
+    | `Elem of Value.value array * int
+    | `Map of int * Value.value ] =
+  let ptr_target = function
+    | Value.Pcell { cell; _ } -> `Cell cell
+    | Value.Pelem { arr; idx; _ } -> `Elem (arr, idx)
+  in
   match lv with
   | Tast.Lvar v -> `Cell (binding_cell (lookup_binding st v))
   | Tast.Lderef e -> begin
     match eval st e with
-    | Value.VPtr p -> `Cell p.Value.p_cell
+    | Value.VPtr p -> ptr_target p
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
     | _ -> raise (Runtime_error "assignment through non-pointer")
   end
@@ -1375,7 +1381,7 @@ and eval_lvalue_target st (lv : Tast.lvalue) :
     | Value.VSlice s ->
       if vi < 0 || vi >= s.Value.s_len then
         raise (Panic (Value.VStr "index out of range"));
-      `Cell s.Value.s_cells.(s.Value.s_off + vi)
+      `Elem (s.Value.s_elems, s.Value.s_off + vi)
     | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
     | _ -> raise (Runtime_error "cannot assign into this value")
   end
@@ -1390,13 +1396,14 @@ and eval_lvalue_target st (lv : Tast.lvalue) :
   end
   | Tast.Lfield (base, idx, _) -> begin
     match eval_addr st (Tast.Lfield (base, idx, "")) with
-    | Value.VPtr p -> `Cell p.Value.p_cell
+    | Value.VPtr p -> ptr_target p
     | _ -> raise (Runtime_error "bad field target")
   end
 
 and assign st (lv : Tast.lvalue) (v : Value.value) =
   match eval_lvalue_target st lv with
   | `Cell c -> c.Value.v <- Value.copy v
+  | `Elem (arr, i) -> arr.(i) <- Value.copy v
   | `Map (addr, key) -> map_store st addr key (Value.copy v)
 
 and call_function st name (args : Value.value list) : Value.value list =

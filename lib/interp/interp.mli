@@ -246,15 +246,23 @@ val alloc_heap_obj :
   payload:Rt.Heap.payload ->
   Rt.Heap.obj
 
+(** [make([]T, len, cap)]: a zero-filled backing array of
+    [max cap len] elements; [zero_of] builds [T]'s zero value. *)
 val make_slice_obj :
   state ->
   frame ->
   site:Tast.alloc_site ->
-  elem_size:int ->
   len:int ->
   cap:int ->
   zero_of:(unit -> Value.value) ->
   Value.value
+
+(** A slice literal over already-evaluated (copied) elements. *)
+val slice_lit :
+  state -> frame -> site:Tast.alloc_site -> Value.value list -> Value.value
+
+(** [copy(dst, src)] with memmove semantics; the element count. *)
+val slice_copy : Value.slice -> Value.slice -> int
 
 val make_map_obj : state -> frame -> site:Tast.alloc_site -> Value.value
 

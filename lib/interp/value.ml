@@ -1,11 +1,17 @@
 (** Runtime values of MiniGo and their payload representation inside the
     simulated heap.
 
-    All mutable storage is a {!cell}; a pointer is an (owner address,
-    cell) pair so the GC can keep the owning heap object alive while the
-    interpreter mutates through the cell directly.  Struct values are cell
+    Mutable storage comes in two shapes.  A slice's backing array is one
+    flat [value array] shared by every slice header that views it, so
+    [make], [append] growth and [copy] allocate one host block per
+    backing array, not one per element.  Everything else that is
+    addressable — frame slots, 1-cell boxes ([new], [&T{...}], escaping
+    variables) and struct fields — is a {!cell}.  A pointer names either
+    a cell or an element (array, index), plus the address of the heap
+    object that owns it, so the GC can keep the owner alive while the
+    interpreter mutates the storage directly.  Struct values are cell
     arrays copied on assignment (Go value semantics); slice values are
-    headers (backing-array address + cells + length) copied freely while
+    headers (backing-array address + elements + view) copied freely while
     sharing the backing store.
 
     Strings are modelled as static immutable data (no heap object): GoFree
@@ -29,16 +35,18 @@ and value =
   | VTuple of value list
   | VPoison  (** contents of mock-freed memory (§6.8) *)
 
-and ptr = {
-  p_owner : int;  (** heap/stack object owning the cell; 0 = frame slot *)
-  p_cell : cell;
-}
+(* [owner] is the heap/stack object owning the storage; 0 = frame slot *)
+and ptr =
+  | Pcell of { owner : int; cell : cell }
+      (** a frame slot, a 1-cell box or a struct field *)
+  | Pelem of { owner : int; arr : value array; idx : int }
+      (** element [idx] of a slice backing array *)
 
 and slice = {
   s_addr : int;  (** backing-array object *)
-  s_cells : cell array;  (** the shared backing array *)
+  s_elems : value array;  (** the shared backing array *)
   s_off : int;  (** view offset into the backing array *)
-  s_len : int;  (** view length; capacity = Array.length s_cells − s_off *)
+  s_len : int;  (** view length; capacity = Array.length s_elems − s_off *)
 }
 
 type map_data = {
@@ -55,7 +63,8 @@ type map_data = {
 
 (** Heap payloads carrying interpreter values. *)
 type Gofree_runtime.Heap.payload +=
-  | Pcells of cell array  (** slice backing array, or a 1-cell box *)
+  | Pelems of value array  (** slice backing array *)
+  | Pbox of cell  (** 1-cell box: [new], [&T{...}], escaping variable *)
   | Pmap of map_data
   | Pbuckets of (value * value) list array
 
@@ -78,6 +87,28 @@ let read_cell c =
   match c.v with
   | VPoison -> raise (Corruption "read of freed memory")
   | v -> v
+
+let read_elem (arr : value array) i =
+  match arr.(i) with
+  | VPoison -> raise (Corruption "read of freed memory")
+  | v -> v
+
+let ptr_owner = function Pcell { owner; _ } | Pelem { owner; _ } -> owner
+
+let ptr_get = function
+  | Pcell { cell; _ } -> read_cell cell
+  | Pelem { arr; idx; _ } -> read_elem arr idx
+
+let ptr_set p v =
+  match p with
+  | Pcell { cell; _ } -> cell.v <- v
+  | Pelem { arr; idx; _ } -> arr.(idx) <- v
+
+let ptr_equal a b =
+  match (a, b) with
+  | Pcell x, Pcell y -> x.cell == y.cell
+  | Pelem x, Pelem y -> x.arr == y.arr && x.idx = y.idx
+  | _ -> false
 
 (** Deep-copy for assignment: struct values copy their cells; everything
     else has reference or immutable semantics. *)
@@ -107,7 +138,9 @@ let rec zero (tenv : Minigo.Types.env) (ty : Minigo.Types.t) : value =
 let rec trace (v : value) (k : int -> unit) =
   match v with
   | VStr _ | VUnit | VInt _ | VFloat _ | VBool _ | VNil | VPoison -> ()
-  | VPtr p -> if p.p_owner > 0 then k p.p_owner
+  | VPtr p ->
+    let owner = ptr_owner p in
+    if owner > 0 then k owner
     (* owner 0: pointer to a frame slot; the frame is scanned as a root *)
   | VSlice s -> if s.s_addr > 0 then k s.s_addr
   | VMap addr -> if addr > 0 then k addr
@@ -117,7 +150,8 @@ let rec trace (v : value) (k : int -> unit) =
 (** Payload tracer registered with the heap. *)
 let trace_payload (p : Gofree_runtime.Heap.payload) (k : int -> unit) =
   match p with
-  | Pcells cells -> Array.iter (fun c -> trace c.v k) cells
+  | Pelems elems -> Array.iter (fun v -> trace v k) elems
+  | Pbox c -> trace c.v k
   | Pmap md -> if md.md_buckets > 0 then k md.md_buckets
   | Pbuckets buckets ->
     Array.iter
@@ -131,12 +165,13 @@ let trace_payload (p : Gofree_runtime.Heap.payload) (k : int -> unit) =
   | _ -> ()
 
 (** Poison-mode payload corruption (§6.8's bit-flipping mock, made
-    deterministic): every cell the payload owns becomes [VPoison], so any
-    read through a stale reference raises {!Corruption} instead of
-    silently yielding the old data. *)
+    deterministic): every element or cell the payload owns becomes
+    [VPoison], so any read through a stale reference raises
+    {!Corruption} instead of silently yielding the old data. *)
 let poison_payload (p : Gofree_runtime.Heap.payload) =
   match p with
-  | Pcells cells -> Array.iter (fun c -> c.v <- VPoison) cells
+  | Pelems elems -> Array.fill elems 0 (Array.length elems) VPoison
+  | Pbox c -> c.v <- VPoison
   | Pbuckets buckets ->
     Array.iteri (fun i _ -> buckets.(i) <- [ (VPoison, VPoison) ]) buckets
   | Pmap md ->
@@ -174,7 +209,7 @@ let rec to_string = function
   | VSlice s ->
     let elems =
       List.init s.s_len (fun i ->
-          to_string (read_cell s.s_cells.(s.s_off + i)))
+          to_string (read_elem s.s_elems (s.s_off + i)))
     in
     "[" ^ String.concat " " elems ^ "]"
   | VMap _ -> "map"

@@ -1,9 +1,11 @@
 (** Runtime values of MiniGo and their payload representation inside the
     simulated heap.
 
-    All mutable storage is a {!cell}; a pointer is an (owner address,
-    cell) pair so the GC can keep the owning heap object alive while the
-    interpreter mutates through the cell directly. *)
+    A slice's backing array is one flat [value array]; every other piece
+    of mutable storage (frame slot, 1-cell box, struct field) is a
+    {!cell}.  A pointer names a cell or a backing-array element together
+    with the address of its owning object, so the GC can keep the owner
+    alive while the interpreter mutates the storage directly. *)
 
 type cell = { mutable v : value }
 
@@ -21,16 +23,18 @@ and value =
   | VTuple of value list  (** multi-value call result *)
   | VPoison  (** contents of mock-freed memory (§6.8) *)
 
-and ptr = {
-  p_owner : int;  (** heap/stack object owning the cell; 0 = frame slot *)
-  p_cell : cell;
-}
+(* [owner] is the heap/stack object owning the storage; 0 = frame slot *)
+and ptr =
+  | Pcell of { owner : int; cell : cell }
+      (** a frame slot, a 1-cell box or a struct field *)
+  | Pelem of { owner : int; arr : value array; idx : int }
+      (** element [idx] of a slice backing array *)
 
 and slice = {
   s_addr : int;  (** backing-array object *)
-  s_cells : cell array;  (** shared backing store *)
+  s_elems : value array;  (** shared backing store *)
   s_off : int;  (** view offset into the backing array *)
-  s_len : int;  (** view length; capacity = Array.length s_cells − s_off *)
+  s_len : int;  (** view length; capacity = Array.length s_elems − s_off *)
 }
 
 type map_data = {
@@ -44,7 +48,8 @@ type map_data = {
 }
 
 type Gofree_runtime.Heap.payload +=
-  | Pcells of cell array  (** slice backing array, or a 1-cell box *)
+  | Pelems of value array  (** slice backing array *)
+  | Pbox of cell  (** 1-cell box: [new], [&T{...}], escaping variable *)
   | Pmap of map_data
   | Pbuckets of (value * value) list array
 
@@ -61,6 +66,21 @@ val vint : int -> value
 (** Read a cell; raises {!Corruption} on poison. *)
 val read_cell : cell -> value
 
+(** Read a backing-array element; raises {!Corruption} on poison. *)
+val read_elem : value array -> int -> value
+
+(** The object owning a pointer's storage (0 = frame slot). *)
+val ptr_owner : ptr -> int
+
+(** Read through a pointer; raises {!Corruption} on poison. *)
+val ptr_get : ptr -> value
+
+val ptr_set : ptr -> value -> unit
+
+(** Pointer identity: the same cell, or the same element of the same
+    backing array. *)
+val ptr_equal : ptr -> ptr -> bool
+
 (** Assignment copy: deep for struct values, identity otherwise. *)
 val copy : value -> value
 
@@ -73,7 +93,8 @@ val trace : value -> (int -> unit) -> unit
 (** Payload tracer registered with the heap. *)
 val trace_payload : Gofree_runtime.Heap.payload -> (int -> unit) -> unit
 
-(** Poison-mode payload corruption: every owned cell becomes [VPoison]. *)
+(** Poison-mode payload corruption: every owned element or cell becomes
+    [VPoison]. *)
 val poison_payload : Gofree_runtime.Heap.payload -> unit
 
 (** Structural equality for map keys. *)

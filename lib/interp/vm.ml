@@ -77,7 +77,7 @@ let vm_safepoint (r : regs) =
   r.x_fr.temps <- [];
   let heap = st.heap in
   if
-    steps >= st.yield_at || heap.Rt.Heap.gc_requested
+    steps >= st.yield_at || Atomic.get heap.Rt.Heap.gc_requested
     || heap.Rt.Heap.sampler != None
     || steps > st.config.max_steps
   then safepoint_slow r
@@ -90,6 +90,13 @@ let popped (stk_v : Value.value array) sp_v n =
   in
   build (sp_v - 1) []
 
+(* The value behind a pointer, poison included: for the fast paths that
+   match [VPoison] themselves.  An element index was bounds-checked when
+   the pointer was made, and backing arrays never shrink. *)
+let[@inline] ptr_peek = function
+  | Value.Pcell { cell; _ } -> cell.Value.v
+  | Value.Pelem { arr; idx; _ } -> Array.unsafe_get arr idx
+
 (* Shared by the three index opcodes: the full base match of the
    reference walker, yielding the element value. *)
 let index_value (va : Value.value) (vi : int) : Value.value =
@@ -97,7 +104,7 @@ let index_value (va : Value.value) (vi : int) : Value.value =
   | Value.VSlice s ->
     if vi < 0 || vi >= s.Value.s_len then
       raise (Panic (Value.VStr "index out of range"));
-    Value.read_cell s.Value.s_cells.(s.Value.s_off + vi)
+    Value.read_elem s.Value.s_elems (s.Value.s_off + vi)
   | Value.VStr s ->
     if vi < 0 || vi >= String.length s then
       raise (Panic (Value.VStr "index out of range"));
@@ -111,7 +118,7 @@ let index_value (va : Value.value) (vi : int) : Value.value =
 let field_value (r : regs) (va : Value.value) fidx cidx nidx : Value.value =
   let shape, base =
     match va with
-    | Value.VPtr p -> (2, Value.read_cell p.Value.p_cell)
+    | Value.VPtr p -> (2, Value.ptr_get p)
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
     | v -> (1, v)
   in
@@ -476,7 +483,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     let p = Array.unsafe_get stk_v (sp_v - 1) in
     let v = Array.unsafe_get stk_v (sp_v - 2) in
     (match p with
-    | Value.VPtr p -> p.Value.p_cell.Value.v <- Value.copy v
+    | Value.VPtr p -> Value.ptr_set p (Value.copy v)
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
     | _ -> raise (Runtime_error "assignment through non-pointer"));
     loop r (pc + 1) (sp_v - 2) sp_i
@@ -488,7 +495,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     | Value.VSlice s ->
       if vi < 0 || vi >= s.Value.s_len then
         raise (Panic (Value.VStr "index out of range"));
-      s.Value.s_cells.(s.Value.s_off + vi).Value.v <- Value.copy v
+      s.Value.s_elems.(s.Value.s_off + vi) <- Value.copy v
     | Value.VNil -> raise (Panic (Value.VStr "index of nil slice"))
     | _ -> raise (Runtime_error "cannot assign into this value"));
     loop r (pc + 1) (sp_v - 2) (sp_i - 1)
@@ -505,7 +512,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     let p = Array.unsafe_get stk_v (sp_v - 1) in
     let v = Array.unsafe_get stk_v (sp_v - 2) in
     (match p with
-    | Value.VPtr p -> p.Value.p_cell.Value.v <- Value.copy v
+    | Value.VPtr p -> Value.ptr_set p (Value.copy v)
     | _ -> raise (Runtime_error "bad field target"));
     loop r (pc + 1) (sp_v - 2) sp_i
   | 55 (* index_v *) ->
@@ -519,10 +526,10 @@ let rec loop (r : regs) pc sp_v sp_i =
     (* the common case inlined: int element of a live slice *)
     (match va with
     | Value.VSlice s when vi >= 0 && vi < s.Value.s_len -> begin
-      let c = Array.unsafe_get s.Value.s_cells (s.Value.s_off + vi) in
-      match c.Value.v with
+      match Array.unsafe_get s.Value.s_elems (s.Value.s_off + vi) with
       | Value.VInt n -> Array.unsafe_set stk_i (sp_i - 1) n
-      | _ -> Array.unsafe_set stk_i (sp_i - 1) (as_int (Value.read_cell c))
+      | Value.VPoison -> raise (Value.Corruption "read of freed memory")
+      | v -> Array.unsafe_set stk_i (sp_i - 1) (as_int v)
     end
     | Value.VStr s when vi >= 0 && vi < String.length s ->
       (* byte of a string, sans the boxed VInt the generic path makes *)
@@ -539,7 +546,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     (* field_value, inlined for the two cached shapes *)
     match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p -> begin
-      match p.Value.p_cell.Value.v with
+      match ptr_peek p with
       | Value.VStruct cells ->
         let st = r.x_st in
         let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 2)) in
@@ -583,7 +590,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 59 (* field_i *) -> begin
     match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p -> begin
-      match p.Value.p_cell.Value.v with
+      match ptr_peek p with
       | Value.VStruct cells ->
         let st = r.x_st in
         let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 2)) in
@@ -700,7 +707,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     (match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VSlice s ->
       Array.unsafe_set stk_i sp_i
-        (Array.length s.Value.s_cells - s.Value.s_off)
+        (Array.length s.Value.s_elems - s.Value.s_off)
     | Value.VNil -> Array.unsafe_set stk_i sp_i 0
     | _ -> raise (Runtime_error "cap of unsupported value"));
     loop r (pc + 1) (sp_v - 1) (sp_i + 1)
@@ -740,7 +747,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     let res =
       match base with
       | Value.VSlice s ->
-        let cap = Array.length s.Value.s_cells - s.Value.s_off in
+        let cap = Array.length s.Value.s_elems - s.Value.s_off in
         let lo = bound 0 clo in
         let hi = bound s.Value.s_len chi in
         if lo < 0 || hi > cap || lo > hi then
@@ -767,18 +774,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     let vd = Array.unsafe_get stk_v (sp_v - 2) in
     let n =
       match (vd, vs) with
-      | Value.VSlice d, Value.VSlice s ->
-        (* memmove semantics: snapshot the source first *)
-        let n = min d.Value.s_len s.Value.s_len in
-        let snapshot =
-          Array.init n (fun i ->
-              Value.copy
-                (Value.read_cell s.Value.s_cells.(s.Value.s_off + i)))
-        in
-        for i = 0 to n - 1 do
-          d.Value.s_cells.(d.Value.s_off + i).Value.v <- snapshot.(i)
-        done;
-        n
+      | Value.VSlice d, Value.VSlice s -> slice_copy d s
       | Value.VNil, _ | _, Value.VNil -> 0
       | _ -> raise (Runtime_error "copy on non-slices")
     in
@@ -787,7 +783,7 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 72 (* deref *) ->
     (match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p ->
-      Array.unsafe_set stk_v (sp_v - 1) (Value.read_cell p.Value.p_cell)
+      Array.unsafe_set stk_v (sp_v - 1) (Value.ptr_get p)
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
     | _ -> raise (Runtime_error "dereference of a non-pointer"));
     loop r (pc + 1) sp_v sp_i
@@ -841,8 +837,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     let len = Array.unsafe_get stk_i (sp_i - npop) in
     let cap = if has_cap then Array.unsafe_get stk_i (sp_i - 1) else len in
     Array.unsafe_set stk_v sp_v
-      (make_slice_obj r.x_st r.x_fr ~site ~elem_size:site.Tast.site_elem_size
-         ~len ~cap ~zero_of);
+      (make_slice_obj r.x_st r.x_fr ~site ~len ~cap ~zero_of);
     loop r (pc + 4) (sp_v + 1) (sp_i - npop)
   | 81 (* make_map *) ->
     Array.unsafe_set stk_v sp_v
@@ -857,26 +852,17 @@ let rec loop (r : regs) pc sp_v sp_i =
     let obj =
       alloc_obj r.x_st r.x_fr ~site ~category:Rt.Metrics.Cat_other
         ~size:(max 8 site.Tast.site_elem_size)
-        ~payload:(Value.Pcells [| c |])
+        ~payload:(Value.Pbox c)
     in
     Array.unsafe_set stk_v sp_v
       (pin r.x_st r.x_fr
-         (Value.VPtr { Value.p_owner = obj.Rt.Heap.addr; p_cell = c }));
+         (Value.VPtr (Value.Pcell { owner = obj.Rt.Heap.addr; cell = c })));
     loop r (pc + 3) (sp_v + 1) sp_i
   | 83 (* slice_lit *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
-    let cells = Array.of_list (List.map Value.cell (popped stk_v sp_v n)) in
-    let size = max 1 (n * site.Tast.site_elem_size) in
-    let obj =
-      alloc_obj r.x_st r.x_fr ~site ~category:Rt.Metrics.Cat_slice ~size
-        ~payload:(Value.Pcells cells)
-    in
     Array.unsafe_set stk_v (sp_v - n)
-      (pin r.x_st r.x_fr
-         (Value.VSlice
-            { Value.s_addr = obj.Rt.Heap.addr; s_cells = cells; s_off = 0;
-              s_len = n }));
+      (slice_lit r.x_st r.x_fr ~site (popped stk_v sp_v n));
     loop r (pc + 3) (sp_v - n + 1) sp_i
   | 84 (* struct_lit *) ->
     let n = Array.unsafe_get code (pc + 1) in
@@ -895,11 +881,11 @@ let rec loop (r : regs) pc sp_v sp_i =
     let obj =
       alloc_obj r.x_st r.x_fr ~site ~category:Rt.Metrics.Cat_other
         ~size:(max 8 site.Tast.site_elem_size)
-        ~payload:(Value.Pcells [| c |])
+        ~payload:(Value.Pbox c)
     in
     Array.unsafe_set stk_v (sp_v - n)
       (pin r.x_st r.x_fr
-         (Value.VPtr { Value.p_owner = obj.Rt.Heap.addr; p_cell = c }));
+         (Value.VPtr (Value.Pcell { owner = obj.Rt.Heap.addr; cell = c })));
     loop r (pc + 3) (sp_v - n + 1) sp_i
   | 86 (* append *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
@@ -913,20 +899,20 @@ let rec loop (r : regs) pc sp_v sp_i =
     (match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr { Value.p_owner = 0; p_cell = c })
+        (Value.VPtr (Value.Pcell { owner = 0; cell = c }))
     | Bboxed (addr, c) ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr { Value.p_owner = addr; p_cell = c })
+        (Value.VPtr (Value.Pcell { owner = addr; cell = c }))
     | Bunbound -> unbound_local r (Array.unsafe_get code (pc + 2)));
     loop r (pc + 3) (sp_v + 1) sp_i
   | 88 (* addr_gslot *) ->
     (match Array.unsafe_get r.x_st.globals (Array.unsafe_get code (pc + 1)) with
     | Bdirect c ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr { Value.p_owner = 0; p_cell = c })
+        (Value.VPtr (Value.Pcell { owner = 0; cell = c }))
     | Bboxed (addr, c) ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr { Value.p_owner = addr; p_cell = c })
+        (Value.VPtr (Value.Pcell { owner = addr; cell = c }))
     | Bunbound -> unbound_global r (Array.unsafe_get code (pc + 2)));
     loop r (pc + 3) (sp_v + 1) sp_i
   | 89 (* addr_index *) ->
@@ -937,19 +923,20 @@ let rec loop (r : regs) pc sp_v sp_i =
         raise (Panic (Value.VStr "index out of range"));
       Array.unsafe_set stk_v (sp_v - 1)
         (Value.VPtr
-           { Value.p_owner = s.Value.s_addr;
-             p_cell = s.Value.s_cells.(s.Value.s_off + vi) })
+           (Value.Pelem
+              { owner = s.Value.s_addr; arr = s.Value.s_elems;
+                idx = s.Value.s_off + vi }))
     | _ -> raise (Runtime_error "cannot take address of this element"));
     loop r (pc + 1) sp_v (sp_i - 1)
   | 90 (* addr_field_ptr *) ->
     let fidx = Array.unsafe_get code (pc + 1) in
     (match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p -> begin
-      match Value.read_cell p.Value.p_cell with
+      match Value.ptr_get p with
       | Value.VStruct cells ->
         Array.unsafe_set stk_v (sp_v - 1)
           (Value.VPtr
-             { Value.p_owner = p.Value.p_owner; p_cell = cells.(fidx) })
+             (Value.Pcell { owner = Value.ptr_owner p; cell = cells.(fidx) }))
       | _ -> raise (Runtime_error "field of non-struct")
     end
     | Value.VNil -> raise (Panic (Value.VStr "nil pointer dereference"))
@@ -966,7 +953,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     (match Value.read_cell c with
     | Value.VStruct cells ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr { Value.p_owner = owner; p_cell = cells.(fidx) })
+        (Value.VPtr (Value.Pcell { owner; cell = cells.(fidx) }))
     | _ -> raise (Runtime_error "field of non-struct"));
     loop r (pc + 4) (sp_v + 1) sp_i
   | 92 (* addr_field_gslot *) ->
@@ -982,7 +969,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     (match Value.read_cell c with
     | Value.VStruct cells ->
       Array.unsafe_set stk_v sp_v
-        (Value.VPtr { Value.p_owner = owner; p_cell = cells.(fidx) })
+        (Value.VPtr (Value.Pcell { owner; cell = cells.(fidx) }))
     | _ -> raise (Runtime_error "field of non-struct"));
     loop r (pc + 4) (sp_v + 1) sp_i
   | 93 (* tuple_check *) ->
@@ -1141,7 +1128,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     | Bdirect c | Bboxed (_, c) -> begin
       match c.Value.v with
       | Value.VPtr p -> begin
-        match p.Value.p_cell.Value.v with
+        match ptr_peek p with
         | Value.VStruct cells ->
           let st = r.x_st in
           let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 3)) in
@@ -1190,7 +1177,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     | Bdirect c | Bboxed (_, c) -> begin
       match c.Value.v with
       | Value.VPtr p -> begin
-        match p.Value.p_cell.Value.v with
+        match ptr_peek p with
         | Value.VStruct cells ->
           let st = r.x_st in
           let c = r.x_f.B.bf_caches.(Array.unsafe_get code (pc + 3)) in
@@ -1241,7 +1228,7 @@ let rec loop (r : regs) pc sp_v sp_i =
     let fidx = Array.unsafe_get code (pc + 1) in
     (match Array.unsafe_get stk_v (sp_v - 1) with
     | Value.VPtr p -> begin
-      match p.Value.p_cell.Value.v with
+      match ptr_peek p with
       | Value.VStruct cells ->
         cells.(fidx).Value.v <-
           Value.vint (Array.unsafe_get stk_i (sp_i - 1))

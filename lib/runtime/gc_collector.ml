@@ -169,12 +169,14 @@ let collect (heap : Heap.t) =
   (* Open the simulated concurrent-mark window: for the next few
      allocations, tcfree behaves as if GC were still running. *)
   heap.Heap.gc_window_left <- heap.Heap.config.Heap.concurrent_gc_window;
-  heap.Heap.gc_requested <- false
+  Atomic.set heap.Heap.gc_requested false
 
 (** Safepoint check: run a cycle if the pacer requested one. *)
 let maybe_collect (heap : Heap.t) =
-  if heap.Heap.gc_requested && not heap.Heap.config.Heap.gc_disabled then
-    collect heap
+  if
+    Atomic.get heap.Heap.gc_requested
+    && not heap.Heap.config.Heap.gc_disabled
+  then collect heap
 
 (** Parallel mark + per-domain sweep for the multi-domain runtime.
 
@@ -370,7 +372,7 @@ module Par = struct
       max heap.Heap.config.Heap.min_heap
         (live + (live * heap.Heap.config.Heap.gogc / 100));
     heap.Heap.gc_window_left <- heap.Heap.config.Heap.concurrent_gc_window;
-    heap.Heap.gc_requested <- false
+    Atomic.set heap.Heap.gc_requested false
 
   (** Drive the cycle as the leader: help mark and scan, wait for every
       claimed shard to be appended, apply, release the helpers. *)

@@ -95,7 +95,8 @@ type t = {
       (** poison mode: overwrite the payload's contents so any later read
           through a stale reference fails loudly (§6.8) *)
   mutable iter_roots : (int -> unit) -> unit;
-  mutable gc_requested : bool;
+  gc_requested : bool Atomic.t;
+      (** set by the pacer on any domain, polled at every safepoint *)
   mutable sampler : Sampler.t option;
       (** periodic metrics snapshots; attached by the runner when
           [--metrics-json]/[sample_every] asks for a time series *)
@@ -155,7 +156,7 @@ let create ?(config = default_config) ?(nprocs = 4) ?(shared = false) () =
     trace_payload = (fun _ _ -> ());
     poison_payload = (fun _ -> ());
     iter_roots = (fun _ -> ());
-    gc_requested = false;
+    gc_requested = Atomic.make false;
     sampler = None;
     last_gc_end_ns = 0L;
     tombstones = Hashtbl.create 64;
@@ -212,7 +213,7 @@ let merged_metrics t =
     of an allocation). *)
 let alloc_heap t ~thread ~category ~size ~payload : obj =
   if (not t.config.gc_disabled) && live_bytes t >= t.next_gc then
-    t.gc_requested <- true;
+    Atomic.set t.gc_requested true;
   if t.gc_window_left > 0 then
     t.gc_window_left <- max 0 (t.gc_window_left - max 1 size);
   let thread = thread mod Array.length t.caches in

@@ -61,7 +61,8 @@ type t = {
   mutable trace_payload : payload -> (int -> unit) -> unit;
   mutable poison_payload : payload -> unit;
   mutable iter_roots : (int -> unit) -> unit;
-  mutable gc_requested : bool;
+  gc_requested : bool Atomic.t;
+      (** set by the pacer on any domain, polled at every safepoint *)
   mutable sampler : Sampler.t option;
       (** periodic metrics snapshots; attached by the runner when a
           metrics time series was requested *)

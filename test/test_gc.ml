@@ -110,12 +110,13 @@ let test_pacing () =
   (* allocations below the threshold never request a cycle *)
   let a = alloc heap ~size:400 [] in
   roots := [ a.Heap.addr ];
-  Alcotest.(check bool) "no request yet" false heap.Heap.gc_requested;
+  Alcotest.(check bool) "no request yet" false
+    (Atomic.get heap.Heap.gc_requested);
   (* crossing min_heap requests one *)
   let b = alloc heap ~size:700 [] in
   roots := b.Heap.addr :: !roots;
   ignore (alloc heap ~size:8 []);
-  Alcotest.(check bool) "requested" true heap.Heap.gc_requested;
+  Alcotest.(check bool) "requested" true (Atomic.get heap.Heap.gc_requested);
   Gc_collector.maybe_collect heap;
   Alcotest.(check int) "one cycle" 1 heap.Heap.metrics.Metrics.gc_cycles;
   (* with ~1108 live bytes and GOGC=100, next_gc ≈ 2216 *)

@@ -27,6 +27,7 @@ let () =
       ("properties", Test_props.suite);
       ("sizeclass-equiv", Test_sizeclass_equiv.suite);
       ("compile-differential", Test_compile_differential.suite);
+      ("slice-store", Test_slice_store.suite);
       ("parallel", Test_parallel.suite);
       ("precision", Test_precision.suite);
       ("disasm", Test_disasm.suite);
