@@ -3,10 +3,9 @@
 
 Compares a freshly produced BENCH_gofree.json against the committed
 reduced-scale baseline (bench/baseline_smoke.json).  The baseline holds
-one section per execution engine ({"engines": {"closure": ..,
-"bytecode": ..}}); the current document's "engine" field selects which
-section it is compared against, so CI can gate both engines from one
-baseline file.
+one section per execution engine ({"engines": {"bytecode": ..}}); the
+current document's "engine" field (default "bytecode", the production
+engine) selects which section it is compared against.
 
 Checks:
 
@@ -60,7 +59,7 @@ def main():
     baselines = load(args.baseline, None)
     cur = load(args.current, "gofree-bench-v1")
 
-    engine = cur.get("engine", "closure")
+    engine = cur.get("engine", "bytecode")
     if "engines" not in baselines:
         print(f"error: {args.baseline}: no \"engines\" sections",
               file=sys.stderr)

@@ -14,9 +14,8 @@ open Bench_common
 (* Compile once under a live tracer and fold the captured span stream
    into per-phase totals (µs).  Spans of one phase never self-nest, so a
    name-keyed open-timestamp table is enough to pair B with E.  The
-   interpreter's lowering passes (closure compilation, "lower", and
-   bytecode emission, "emit") run after the pipeline so their spans land
-   in the same capture. *)
+   interpreter's lowering pass (bytecode emission, "emit") runs after
+   the pipeline so its span lands in the same capture. *)
 let compile_phase_timings source : (string * float) list =
   Trace.start ();
   (try
@@ -27,7 +26,6 @@ let compile_phase_timings source : (string * float) list =
          compiled.Gofree_core.Pipeline.c_analysis program
      in
      let layout = Gofree_interp.Layout.of_program program in
-     ignore (Gofree_interp.Compile.lower program decisions layout);
      ignore (Gofree_interp.Emit.lower program decisions layout)
    with _ -> ());
   let doc = Trace.stop () in
@@ -55,7 +53,7 @@ let compile_phase_timings source : (string * float) list =
   List.map
     (fun phase ->
       (phase, Option.value (Hashtbl.find_opt totals phase) ~default:0.0))
-    [ "lex"; "parse"; "typecheck"; "escape"; "instrument"; "lower"; "emit" ]
+    [ "lex"; "parse"; "typecheck"; "escape"; "instrument"; "emit" ]
 
 let setting_json (results : run_result array) : Json.t =
   let med f = Stats.median (Array.map f results) in

@@ -99,7 +99,6 @@ let engine_conv : Gofree_api.engine Arg.conv =
   Arg.enum
     [
       ("reference", Gofree_api.Eng_reference);
-      ("closure", Gofree_api.Eng_closure);
       ("bytecode", Gofree_api.Eng_bytecode);
     ]
 
@@ -107,11 +106,11 @@ let engine_arg =
   Arg.(value
        & opt engine_conv Gofree_api.default_run_options.Gofree_api.engine
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: $(b,reference) (tree-walking), \
-                 $(b,closure) (closure-compiled) or $(b,bytecode) (flat \
-                 bytecode VM with inline caches, the default).  All \
-                 three produce identical output and metrics; they \
-                 differ only in speed.")
+           ~doc:"Execution engine: $(b,reference) (tree-walking, the \
+                 semantic oracle) or $(b,bytecode) (flat bytecode VM \
+                 with inline caches, the default).  Both produce \
+                 identical output and metrics; they differ only in \
+                 speed.")
 
 let reference_flag =
   Arg.(value & flag & info [ "reference" ]

@@ -208,23 +208,20 @@ let config_of_json (j : Json.t) : (config, string) result =
     fold C.gofree fields
   | _ -> Error "config: expected object"
 
-(** Which execution engine interprets function bodies.  All three are
+(** Which execution engine interprets function bodies.  Both are
     observationally identical (output, metrics JSON, GC events) by
     construction — they share the interpreter's allocation/map/call
     helpers — and differ only in speed. *)
 type engine = Gofree_interp.Interp.engine =
   | Eng_reference  (** tree-walking reference interpreter *)
-  | Eng_closure  (** closure-compiled bodies *)
   | Eng_bytecode  (** flat bytecode VM with inline caches (default) *)
 
 let engine_name = function
   | Eng_reference -> "reference"
-  | Eng_closure -> "closure"
   | Eng_bytecode -> "bytecode"
 
 let engine_of_name = function
   | "reference" -> Some Eng_reference
-  | "closure" -> Some Eng_closure
   | "bytecode" -> Some Eng_bytecode
   | _ -> None
 

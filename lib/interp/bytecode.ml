@@ -1,4 +1,4 @@
-(** The flat bytecode ISA of the third execution engine.
+(** The flat bytecode ISA of the production execution engine.
 
     A lowered function is one [int array]: each instruction is an opcode
     followed by its inline operands (slot indices, interned function
@@ -6,7 +6,7 @@
     with jump-to-jump chains threaded).  Values that cannot be encoded
     as ints live in per-function side tables: a constant pool, the
     allocation sites, zero-value makers, declaration/assignment closures
-    reused from {!Compile} for the long tail, and the inline-cache
+    and reference-walker thunks for the long tail, and the inline-cache
     records for map-key and struct-field access sites.
 
     The dispatch loop itself lives in {!Vm}; the opcode numbering here
@@ -107,7 +107,7 @@ let op_new = 82  (* site idx, zero idx *)
 let op_slice_lit = 83  (* site idx, n: pop n copied V *)
 let op_struct_lit = 84  (* n: pop n copied V *)
 let op_addr_struct_lit = 85  (* site idx, n *)
-let op_append = 86  (* site idx, n: pop n copied elems V, base V *)
+let op_append = 86  (* site idx, n, zero idx: pop n copied elems V, base V *)
 let op_addr_slot = 87  (* slot, name idx: push VPtr *)
 let op_addr_gslot = 88
 let op_addr_index = 89  (* pop idx I, base V; push VPtr *)
@@ -381,10 +381,10 @@ let arity op =
   | 115 | 116 | 119 | 120 | 121 | 122 | 123 | 124 | 125 ->
     1
   | 10 | 11 | 12 | 13 | 14 | 15 | 44 | 45 | 46 | 47 | 48 | 49 | 50 | 61
-  | 62 | 63 | 73 | 74 | 75 | 76 | 77 | 78 | 82 | 83 | 85 | 86 | 87 | 88
+  | 62 | 63 | 73 | 74 | 75 | 76 | 77 | 78 | 82 | 83 | 85 | 87 | 88
   | 93 | 97 | 102 | 126 | 127 | 128 | 129 | 130 | 131 ->
     2
-  | 58 | 59 | 60 | 80 | 91 | 92 | 132 -> 3
+  | 58 | 59 | 60 | 80 | 86 | 91 | 92 | 132 -> 3
   | 117 | 118 -> 5
   | _ -> 0
 
@@ -451,8 +451,11 @@ let disasm_fn (b : Buffer.t) (f : fn) =
       Printf.bprintf b "site#%d zero#%d cap=%b"
         f.bf_sites.(o 0).Tast.site_id (o 1) (o 2 = 1)
     | 81 -> Printf.bprintf b "site#%d" f.bf_sites.(o 0).Tast.site_id
-    | 82 | 83 | 85 | 86 ->
+    | 82 | 83 | 85 ->
       Printf.bprintf b "site#%d %d" f.bf_sites.(o 0).Tast.site_id (o 1)
+    | 86 ->
+      Printf.bprintf b "site#%d %d zero#%d" f.bf_sites.(o 0).Tast.site_id
+        (o 1) (o 2)
     | 90 -> Printf.bprintf b ".%d" (o 0)
     | 91 | 92 ->
       Printf.bprintf b "%d .%d  ; %s" (o 0) (o 1) (name (o 2))

@@ -8,16 +8,43 @@
     on the VM's unboxed native-int stack, everything else on the boxed
     value stack, with explicit box/unbox instructions at the boundary.
 
-    Rare constructs (nested struct-field address spines, break outside a
-    loop) fall back to closures built by {!Compile}, so the long tail
-    shares the closure engine's single audited semantics.  Hot
-    constructs get dedicated opcodes whose {!Vm} implementations
-    replicate {!Compile} line by line — the differential suite holds the
-    two lowered engines and the reference walker to byte-identical
-    observable behaviour. *)
+    Rare constructs (a field address whose base is a nested struct
+    value, break outside a loop) fall back to thunks over the reference
+    walker in {!Interp}, so the long tail runs the oracle's own code.
+    Hot constructs get dedicated opcodes whose {!Vm} implementations
+    call the same shared {!Interp} helpers in the same order as the
+    walker; the differential suite holds the two engines to
+    byte-identical observable behaviour. *)
 
 open Minigo
+module Rt = Gofree_runtime
 module B = Bytecode
+
+(* Per-program emission context. *)
+type ctx = {
+  tenv : Types.env;
+  decisions : Decisions.t;
+  layout : Layout.t;
+}
+
+(* Binding a declared variable, for [op_decl] and parameter binds: the
+   boxing decision, heap-box size and slot are resolved at emission
+   time (the same allocation as [Interp.declare_var]). *)
+let declare ctx (v : Tast.var) :
+    Interp.state -> Interp.frame -> Value.value -> unit =
+  let s = Layout.slot ctx.layout v in
+  if Decisions.var_is_boxed ctx.decisions v then begin
+    let size = max 8 (Types.size_of ctx.tenv v.Tast.v_ty) in
+    fun st fr value ->
+      let c = Value.cell value in
+      let obj =
+        Interp.alloc_heap_obj st ~category:Rt.Metrics.Cat_other ~size
+          ~payload:(Value.Pbox c)
+      in
+      fr.Interp.slots.(s) <- Interp.Bboxed (obj.Rt.Heap.addr, c)
+  end
+  else fun _st fr value ->
+    fr.Interp.slots.(s) <- Interp.Bdirect (Value.cell value)
 
 (* Growable int vector (the code buffer). *)
 type ivec = { mutable iv_a : int array; mutable iv_n : int }
@@ -53,7 +80,7 @@ type scope_kind =
   | Krange of int * int  (* next label, end label *)
 
 type fctx = {
-  ctx : Compile.ctx;
+  ctx : ctx;
   code : ivec;
   consts : Value.value tbl;
   sites : Tast.alloc_site tbl;
@@ -212,7 +239,7 @@ let name_idx f s =
     Hashtbl.add f.names_tbl s i;
     i
 
-let slot f v = Layout.slot f.ctx.Compile.layout v
+let slot f v = Layout.slot f.ctx.layout v
 
 let is_global (v : Tast.var) = v.Tast.v_kind = Tast.Vglobal
 
@@ -475,7 +502,7 @@ and emit_v_raw f (e : Tast.expr) =
   | Tast.Tmap_get (m, k) ->
     emit_v f m;
     emit_v f k;
-    let tenv = f.ctx.Compile.tenv in
+    let tenv = f.ctx.tenv in
     let ty = e.Tast.ty in
     let z = tbl_add f.zeros (fun () -> Value.zero tenv ty) in
     op2 f ~dv:(-1) ~di:0 B.op_mapget_v z (new_cache f)
@@ -492,12 +519,12 @@ and emit_v_raw f (e : Tast.expr) =
   | Tast.Tcall (name, args) -> begin
     List.iter (fun a -> emit_v f a) args;
     let n = List.length args in
-    match Layout.func_id f.ctx.Compile.layout name with
+    match Layout.func_id f.ctx.layout name with
     | Some fid -> op2 f ~dv:(1 - n) ~di:0 B.op_call fid n
     | None -> op2 f ~dv:(1 - n) ~di:0 B.op_call_undef (name_idx f name) n
   end
   | Tast.Tmake_slice (site, elem, len, cap) -> begin
-    let tenv = f.ctx.Compile.tenv in
+    let tenv = f.ctx.tenv in
     let z = tbl_add f.zeros (fun () -> Value.zero tenv elem) in
     let s = tbl_add f.sites site in
     emit_i f len;
@@ -512,7 +539,7 @@ and emit_v_raw f (e : Tast.expr) =
   | Tast.Tmake_map (site, _, _) ->
     op1 f ~dv:1 ~di:0 B.op_make_map (tbl_add f.sites site)
   | Tast.Tnew (site, ty) ->
-    let tenv = f.ctx.Compile.tenv in
+    let tenv = f.ctx.tenv in
     let z = tbl_add f.zeros (fun () -> Value.zero tenv ty) in
     op2 f ~dv:1 ~di:0 B.op_new (tbl_add f.sites site) z
   | Tast.Tslice_lit (site, _, es) ->
@@ -540,6 +567,12 @@ and emit_v_raw f (e : Tast.expr) =
     let n = List.length es in
     op2 f ~dv:(1 - n) ~di:0 B.op_addr_struct_lit (tbl_add f.sites site) n
   | Tast.Tappend (site, s, vs) ->
+    let tenv = f.ctx.tenv in
+    let z =
+      match e.Tast.ty with
+      | Types.Slice elem -> tbl_add f.zeros (fun () -> Value.zero tenv elem)
+      | _ -> invalid_arg "Emit: append to non-slice"
+    in
     emit_v f s;
     List.iter
       (fun e ->
@@ -547,7 +580,7 @@ and emit_v_raw f (e : Tast.expr) =
         op0 f ~dv:0 ~di:0 B.op_copy)
       vs;
     let n = List.length vs in
-    op2 f ~dv:(-n) ~di:0 B.op_append (tbl_add f.sites site) n
+    op3 f ~dv:(-n) ~di:0 B.op_append (tbl_add f.sites site) n z
   | Tast.Tlen a ->
     emit_v f a;
     op0 f ~dv:(-1) ~di:1 B.op_len;
@@ -591,7 +624,7 @@ and emit_v_raw f (e : Tast.expr) =
   | Tast.Tmap_get_ok (m, k) ->
     emit_v f m;
     emit_v f k;
-    let tenv = f.ctx.Compile.tenv in
+    let tenv = f.ctx.tenv in
     let zty =
       match e.Tast.ty with Types.Tuple [ vt; _ ] -> Some vt | _ -> None
     in
@@ -604,8 +637,8 @@ and emit_v_raw f (e : Tast.expr) =
     op1 f ~dv:(-1) ~di:0 B.op_mapget_ok z
   | Tast.Trecover -> op0 f ~dv:1 ~di:0 B.op_recover
 
-(* Address-of an lvalue, mirroring Compile.compile_addr case for case;
-   the nested struct-value spine falls back to the shared closure. *)
+(* Address-of an lvalue, case for case like [Interp.eval_addr]; a
+   nested struct-value base falls back to the walker itself. *)
 and emit_addr f (lv : Tast.lvalue) =
   match lv with
   | Tast.Lvar v ->
@@ -635,9 +668,9 @@ and emit_addr f (lv : Tast.lvalue) =
         in
         op3 f ~dv:1 ~di:0 opc (slot f v) idx (name_idx f v.Tast.v_name)
       | _ ->
-        (* nested struct-value base: owner spine re-evaluation, shared
-           with the closure engine *)
-        let t = tbl_add f.thunks (Compile.compile_addr f.ctx lv) in
+        (* nested struct-value base: the walker re-evaluates the owner
+           spine in the VM's frame, which is [cur_frame st] *)
+        let t = tbl_add f.thunks (fun st _ -> Interp.eval_addr st lv) in
         op1 f ~dv:1 ~di:0 B.op_thunk_v t
     end
   end
@@ -700,14 +733,14 @@ let rec emit_stmt f (s : Tast.stmt) =
   match s with
   | Tast.Sdecl (v, init) -> begin
     op0 f ~dv:0 ~di:0 B.op_safepoint;
-    let d = tbl_add f.decls (Compile.compile_declare f.ctx v) in
+    let d = tbl_add f.decls (declare f.ctx v) in
     match init with
     | Some e ->
       emit_v f e;
       op0 f ~dv:0 ~di:0 B.op_copy;
       op1 f ~dv:(-1) ~di:0 B.op_decl d
     | None ->
-      let tenv = f.ctx.Compile.tenv in
+      let tenv = f.ctx.tenv in
       let ty = v.Tast.v_ty in
       let z = tbl_add f.zeros (fun () -> Value.zero tenv ty) in
       op2 f ~dv:0 ~di:0 B.op_decl_zero d z
@@ -719,7 +752,7 @@ let rec emit_stmt f (s : Tast.stmt) =
     op2 f ~dv:0 ~di:0 B.op_tuple_check n 0;
     List.iteri
       (fun i v ->
-        let d = tbl_add f.decls (Compile.compile_declare f.ctx v) in
+        let d = tbl_add f.decls (declare f.ctx v) in
         op1 f ~dv:1 ~di:0 B.op_tuple_get i;
         op0 f ~dv:0 ~di:0 B.op_copy;
         op1 f ~dv:(-1) ~di:0 B.op_decl d)
@@ -828,7 +861,7 @@ let rec emit_stmt f (s : Tast.stmt) =
     let l_end = new_label f in
     opjmp f ~dv:(-1) ~di:0 B.op_range_start [] l_end;
     f.scopes <- Krange (l_next, l_end) :: f.scopes;
-    let d = tbl_add f.decls (Compile.compile_declare f.ctx v) in
+    let d = tbl_add f.decls (declare f.ctx v) in
     mark f l_next;
     opjmp f ~dv:0 ~di:0 B.op_range_next [ d ] l_end;
     emit_block f body;
@@ -844,7 +877,7 @@ let rec emit_stmt f (s : Tast.stmt) =
       es;
     let n = List.length es in
     (* open scopes are popped by the VM's unwind handler, in the same
-       innermost-first order the nested closure handlers would use *)
+       innermost-first order the walker's nested block handlers use *)
     op1 f ~dv:(-n) ~di:0 B.op_ret n
   | Tast.Sblock b ->
     op0 f ~dv:0 ~di:0 B.op_safepoint;
@@ -857,7 +890,7 @@ let rec emit_stmt f (s : Tast.stmt) =
         op0 f ~dv:0 ~di:0 B.op_copy)
       args;
     let n = List.length args in
-    match Layout.func_id f.ctx.Compile.layout name with
+    match Layout.func_id f.ctx.layout name with
     | Some fid -> op2 f ~dv:(-n) ~di:0 B.op_go fid n
     | None -> op2 f ~dv:(-n) ~di:0 B.op_go_undef (name_idx f name) n
   end
@@ -869,7 +902,7 @@ let rec emit_stmt f (s : Tast.stmt) =
         op0 f ~dv:0 ~di:0 B.op_copy)
       args;
     let n = List.length args in
-    match Layout.func_id f.ctx.Compile.layout name with
+    match Layout.func_id f.ctx.layout name with
     | Some fid -> op2 f ~dv:(-n) ~di:0 B.op_defer fid n
     | None -> op2 f ~dv:(-n) ~di:0 B.op_defer_undef (name_idx f name) n
   end
@@ -959,18 +992,18 @@ let patch_and_thread f =
   in
   List.iter (fun (pos, _) -> code.(pos) <- resolve code.(pos)) f.patches
 
-let emit_func (ctx : Compile.ctx) (fn : Tast.func) fid : B.fn =
+let emit_func (ctx : ctx) (fn : Tast.func) fid : B.fn =
   let f = fctx ctx in
   emit_block f fn.Tast.f_body;
   op0 f ~dv:0 ~di:0 B.op_halt;
   patch_and_thread f;
-  let pdecls = List.map (Compile.compile_declare ctx) fn.Tast.f_params in
-  let tenv = ctx.Compile.tenv in
+  let pdecls = List.map (declare ctx) fn.Tast.f_params in
+  let tenv = ctx.tenv in
   let rtys = fn.Tast.f_results in
   {
     B.bf_fn = fn;
     bf_name = fn.Tast.f_name;
-    bf_nslots = ctx.Compile.layout.Layout.l_nslots.(fid);
+    bf_nslots = ctx.layout.Layout.l_nslots.(fid);
     bf_max_v = f.max_v;
     bf_max_i = f.max_i;
     bf_code = Array.sub f.code.iv_a 0 f.code.iv_n;
@@ -995,5 +1028,5 @@ let lower (program : Tast.program) (decisions : Decisions.t)
     (layout : Layout.t) : B.program =
   let module Trace = Gofree_obs.Trace in
   Trace.with_span ~tid:(Trace.domain_tid ()) "emit" (fun () ->
-      let ctx = { Compile.tenv = program.Tast.p_tenv; decisions; layout } in
+      let ctx = { tenv = program.Tast.p_tenv; decisions; layout } in
       Array.mapi (fun i fn -> emit_func ctx fn i) layout.Layout.l_funcs)

@@ -19,10 +19,10 @@
     Variables are resolved through a per-program {!Layout}: every frame
     is a pre-sized slot array and every call goes through an interned
     function id.  The [dispatch] hook on the state selects the execution
-    mode per call: this module's recursive tree-walker (the reference
-    semantics), or the closure-compiled bodies {!Compile} installs.  Both
-    modes share every allocation/map/tcfree helper below, so they are
-    observationally identical by construction. *)
+    engine per call: this module's recursive tree-walker (the reference
+    semantics), or the bytecode VM {!Vm} installs.  Both engines share
+    every allocation/map/tcfree helper below, so they are observationally
+    identical by construction. *)
 
 open Minigo
 module Rt = Gofree_runtime
@@ -80,13 +80,12 @@ type goroutine = {
           cleared when the body starts. *)
 }
 
-(** Which execution engine interprets function bodies.  All three share
+(** Which execution engine interprets function bodies.  Both share
     the allocation/map/call/safepoint helpers in this module through the
     state's [dispatch] hook, so observable behaviour (output, metrics,
     GC) is identical by construction. *)
 type engine =
   | Eng_reference  (** tree-walking reference interpreter (this module) *)
-  | Eng_closure  (** closure-compiled bodies ({!Compile}) *)
   | Eng_bytecode  (** flat bytecode VM ({!Emit}/{!Vm}) *)
 
 type run_config = {
@@ -533,7 +532,7 @@ let par_gc st (p : parctx) =
     Mutex.unlock p.p_mutex
 
 (* Safepoint slow path: budget, GC, sampling, yield.  Shared by the
-   reference/closure engines (via [safepoint]) and the bytecode VM
+   reference walker (via [safepoint]) and the bytecode VM
    (whose fast path replicates [safepoint]'s guard on its own step
    counter). *)
 let safepoint_slow st =
@@ -611,17 +610,20 @@ let alloc_slice st fr ~(site : Tast.alloc_site) ~growth
     (Value.VSlice { Value.s_addr = obj.Rt.Heap.addr; s_elems = elems;
                     s_off = 0; s_len = len })
 
-(* Zero-filled backing array.  A scalar, pointer, slice or map zero is
-   immutable, so one value fills every element; a struct zero is a fresh
-   cell array per element (value semantics). *)
+(* A backing array of [n] slots holding the element zero from slot
+   [from] on; the caller fills the slots below [from].  A scalar,
+   pointer, slice or map zero is immutable, so one value fills every
+   slot; a struct zero is a fresh copy per slot (value semantics). *)
+let zero_elems ~zero_of ~from n : Value.value array =
+  match zero_of () with
+  | Value.VStruct _ as z ->
+    Array.init n (fun i -> if i < from then Value.VNil else Value.copy z)
+  | z -> Array.make n z
+
 let make_slice_obj st fr ~site ~len ~cap ~zero_of : Value.value =
   let cap = max cap len in
-  let elems =
-    match zero_of () with
-    | Value.VStruct _ -> Array.init cap (fun _ -> zero_of ())
-    | z -> Array.make cap z
-  in
-  alloc_slice st fr ~site ~growth:false elems ~len
+  alloc_slice st fr ~site ~growth:false (zero_elems ~zero_of ~from:0 cap)
+    ~len
 
 let slice_lit st fr ~site (vs : Value.value list) : Value.value =
   let elems = Array.of_list vs in
@@ -1150,7 +1152,12 @@ let rec eval st (e : Tast.expr) : Value.value =
   | Tast.Tappend (site, s, vs) ->
     let base = eval st s in
     let elems = List.map (fun v -> Value.copy (eval st v)) vs in
-    eval_append st (cur_frame st) ~site base elems
+    let zero_of =
+      match e.Tast.ty with
+      | Types.Slice elem -> zero_of st elem
+      | _ -> raise (Runtime_error "append to non-slice")
+    in
+    eval_append st (cur_frame st) ~site ~zero_of base elems
   | Tast.Tlen a -> begin
     match eval st a with
     | Value.VSlice s -> Value.VInt s.Value.s_len
@@ -1240,7 +1247,7 @@ and recover st =
     Value.VStr (Value.to_string v)
   | None -> Value.VStr ""
 
-and eval_append st fr ~site base elems : Value.value =
+and eval_append st fr ~site ~zero_of base elems : Value.value =
   let open Value in
   let old_len, old_off, old_elems =
     match base with
@@ -1261,9 +1268,11 @@ and eval_append st fr ~site base elems : Value.value =
   else begin
     let old_cap = Array.length old_elems - old_off in
     let new_cap = max (max (2 * old_cap) new_len) 4 in
-    let grown = Array.make new_cap VNil in
+    let grown = zero_elems ~zero_of ~from:new_len new_cap in
+    (* a struct element is a value: the new array gets its own copy, so
+       writes through either slice stay apart, as in Go *)
     for i = 0 to old_len - 1 do
-      grown.(i) <- read_elem old_elems (old_off + i)
+      grown.(i) <- copy (read_elem old_elems (old_off + i))
     done;
     List.iteri (fun i v -> grown.(old_len + i) <- v) elems;
     alloc_slice st fr ~site ~growth:true grown ~len:new_len
@@ -1324,9 +1333,10 @@ and eval_addr st (lv : Tast.lvalue) : Value.value =
         | _ -> begin
           (* nested struct value (s.inner.f, a[i].f, …): VStruct shares
              its cells, so evaluating the base still aliases the
-             storage.  The owner is conservatively the base's owning
-             object when it is an element/deref; for pure temporaries
-             there is no owner. *)
+             storage.  The owner is the object holding the base: a
+             pointee, a slice's backing array or a variable's heap box;
+             a frame-local variable or a temporary has none.  This is
+             also the bytecode engine's code for this shape. *)
           match eval st base with
           | Value.VStruct cells -> (owner_of_struct_base st base, cells)
           | _ -> raise (Runtime_error "field of non-struct")
@@ -1354,6 +1364,11 @@ and owner_of_struct_base st (e : Tast.expr) : int =
   end
   | Tast.Tderef p -> begin
     match eval st p with Value.VPtr ptr -> Value.ptr_owner ptr | _ -> 0
+  end
+  | Tast.Tvar v -> begin
+    (* a boxed variable outlives its frame while a pointer into it
+       lives *)
+    match lookup_binding st v with Bboxed (addr, _) -> addr | _ -> 0
   end
   | _ -> 0
 

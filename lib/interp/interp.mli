@@ -5,11 +5,11 @@
 
     Variables resolve through a per-program {!Layout} into pre-sized
     frame slot arrays; calls go through interned function ids.  The
-    state's [dispatch] hook selects the execution mode per call:
-    {!call_by_id}, this module's reference tree-walker, or the
-    closure-compiled bodies installed by {!Compile}.  Both modes share
-    the allocation/map/call helpers exported below, so they are
-    observationally identical by construction. *)
+    state's [dispatch] hook selects the execution engine per call:
+    {!call_by_id}, this module's reference tree-walker, or the bytecode
+    VM installed by {!Vm}.  Both engines share the allocation/map/call
+    helpers exported below, so they are observationally identical by
+    construction. *)
 
 open Minigo
 module Rt = Gofree_runtime
@@ -60,13 +60,12 @@ type goroutine = {
           until the body starts *)
 }
 
-(** Which execution engine interprets function bodies.  All three share
+(** Which execution engine interprets function bodies.  Both share
     the allocation/map/call/safepoint helpers exported below through the
     state's [dispatch] hook, so observable behaviour (output, metrics,
     GC) is identical by construction. *)
 type engine =
   | Eng_reference  (** tree-walking reference interpreter (this module) *)
-  | Eng_closure  (** closure-compiled bodies ({!Compile}) *)
   | Eng_bytecode  (** flat bytecode VM ({!Emit}/{!Vm}) *)
 
 type run_config = {
@@ -180,18 +179,20 @@ val call_function : state -> string -> Value.value list -> Value.value list
     default value of [dispatch]. *)
 val call_by_id : state -> int -> Value.value list -> Value.value list
 
-val exec_block : state -> Tast.block -> unit
+(** Address-of an lvalue in the current frame, as a [VPtr].  The
+    bytecode emitter's fallback for a field whose base is a nested
+    struct value: evaluating an expression takes no safepoint, so the
+    walker's steps and metrics are the VM's. *)
+val eval_addr : state -> Tast.lvalue -> Value.value
 
 (** {2 Shared execution machinery}
 
     Everything below is the single implementation of the runtime
-    semantics used by both the reference walker and the closure compiler
-    — keeping them shared is what makes the two modes agree on every
+    semantics used by both the reference walker and the bytecode VM —
+    keeping them shared is what makes the two engines agree on every
     allocator-visible event. *)
 
 val cur_frame : state -> frame
-
-val cur_thread : state -> int
 
 (** Statement boundary: step accounting, pin reset, GC poll, sampler
     poll, cooperative yield. *)
@@ -212,10 +213,6 @@ val pin : state -> frame -> Value.value -> Value.value
 val rand_int : state -> int -> int
 
 val zero_of : state -> Types.t -> unit -> Value.value
-
-val binding_cell : binding -> Value.cell
-
-val lookup_binding : state -> Tast.var -> binding
 
 (** Bind [var] in [frame], heap-boxing it when the analysis says its
     address escapes. *)
@@ -286,11 +283,14 @@ val map_len : state -> int -> int
 val map_range_keys : state -> int -> Value.value list
 
 (** Grow a slice by already-evaluated elements (append semantics:
-    in-place within capacity, else heap reallocation). *)
+    in-place within capacity, else heap reallocation).  A reallocation
+    copies the old elements and fills the spare capacity with the
+    element zero that [zero_of] builds. *)
 val eval_append :
   state ->
   frame ->
   site:Tast.alloc_site ->
+  zero_of:(unit -> Value.value) ->
   Value.value ->
   Value.value list ->
   Value.value
@@ -311,9 +311,6 @@ val call_fn :
   zeros:(state -> Value.value list) ->
   Value.value list ->
   Value.value list
-
-(** Interned id for a function name; [Runtime_error] if undefined. *)
-val resolve_func : state -> string -> int
 
 (** Start a goroutine running function [fid] (through dispatch). *)
 val spawn_goroutine : state -> int -> Value.value list -> unit

@@ -3,8 +3,8 @@
     (globals), and every function name is interned to an integer id.
 
     Computed once per run, before execution; both the reference
-    tree-walker and the closure compiler ({!Compile}) resolve variables
-    and calls through it, so the two execution modes agree on storage by
+    tree-walker and the bytecode emitter ({!Emit}) resolve variables
+    and calls through it, so the two engines agree on storage by
     construction. *)
 
 open Minigo

@@ -1,7 +1,7 @@
 (** Static layout of a program for the slot-resolved interpreter:
     variable ids → dense frame/global slots, function names → interned
     integer ids.  Computed once per run; shared by the reference
-    tree-walker and the closure compiler. *)
+    tree-walker and the bytecode emitter. *)
 
 open Minigo
 

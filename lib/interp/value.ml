@@ -164,14 +164,31 @@ let trace_payload (p : Gofree_runtime.Heap.payload) (k : int -> unit) =
       buckets
   | _ -> ()
 
+(* A struct value owns its field cells (assignment copies them), and a
+   field pointer ([&o.f], [&a[i].f]) holds one of those cells: poison
+   them all, nested structs included. *)
+let rec poison_fields = function
+  | VStruct cells ->
+    Array.iter
+      (fun c ->
+        poison_fields c.v;
+        c.v <- VPoison)
+      cells
+  | _ -> ()
+
 (** Poison-mode payload corruption (§6.8's bit-flipping mock, made
     deterministic): every element or cell the payload owns becomes
-    [VPoison], so any read through a stale reference raises
-    {!Corruption} instead of silently yielding the old data. *)
+    [VPoison], down to the field cells of struct values, so any read
+    through a stale reference raises {!Corruption} instead of silently
+    yielding the old data. *)
 let poison_payload (p : Gofree_runtime.Heap.payload) =
   match p with
-  | Pelems elems -> Array.fill elems 0 (Array.length elems) VPoison
-  | Pbox c -> c.v <- VPoison
+  | Pelems elems ->
+    Array.iter poison_fields elems;
+    Array.fill elems 0 (Array.length elems) VPoison
+  | Pbox c ->
+    poison_fields c.v;
+    c.v <- VPoison
   | Pbuckets buckets ->
     Array.iteri (fun i _ -> buckets.(i) <- [ (VPoison, VPoison) ]) buckets
   | Pmap md ->

@@ -94,7 +94,7 @@ val trace : value -> (int -> unit) -> unit
 val trace_payload : Gofree_runtime.Heap.payload -> (int -> unit) -> unit
 
 (** Poison-mode payload corruption: every owned element or cell becomes
-    [VPoison]. *)
+    [VPoison], including the field cells of struct values. *)
 val poison_payload : Gofree_runtime.Heap.payload -> unit
 
 (** Structural equality for map keys. *)

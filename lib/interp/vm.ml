@@ -26,12 +26,12 @@
     safepoint and invisible to the simulated GC, so pooling cannot
     change observable behaviour.
 
-    Every opcode's implementation replicates the corresponding
-    {!Compile} closure line by line and calls the same shared {!Interp}
-    helpers in the same order, so allocation counts, free attempts, GC
-    cycle points and scheduler interleavings are bit-identical across
-    all three engines.  The opcode numbering is frozen in {!Bytecode};
-    the literal patterns below must stay in sync. *)
+    Every opcode's implementation follows the reference walker's case
+    for it in {!Interp} and calls the same shared {!Interp} helpers in
+    the same order, so allocation counts, free attempts, GC cycle points
+    and scheduler interleavings are bit-identical across both engines.
+    The opcode numbering is frozen in {!Bytecode}; the literal patterns
+    below must stay in sync. *)
 
 open Minigo
 module B = Bytecode
@@ -890,11 +890,12 @@ let rec loop (r : regs) pc sp_v sp_i =
   | 86 (* append *) ->
     let site = r.x_f.B.bf_sites.(Array.unsafe_get code (pc + 1)) in
     let n = Array.unsafe_get code (pc + 2) in
+    let zero_of = r.x_f.B.bf_zeros.(Array.unsafe_get code (pc + 3)) in
     let elems = popped stk_v sp_v n in
     let base = Array.unsafe_get stk_v (sp_v - n - 1) in
     Array.unsafe_set stk_v (sp_v - n - 1)
-      (eval_append r.x_st r.x_fr ~site base elems);
-    loop r (pc + 3) (sp_v - n) sp_i
+      (eval_append r.x_st r.x_fr ~site ~zero_of base elems);
+    loop r (pc + 4) (sp_v - n) sp_i
   | 87 (* addr_slot *) ->
     (match Array.unsafe_get r.x_slots (Array.unsafe_get code (pc + 1)) with
     | Bdirect c ->
@@ -1343,8 +1344,8 @@ let exec (f : B.fn) (st : state) (fr : frame) : unit =
   in
   (try loop r 0 base_v base_i
    with e ->
-     (* release open scopes innermost-first, exactly like the closure
-        engine's nested per-block handlers, before the exception reaches
+     (* release open scopes innermost-first, exactly like the reference
+        walker's nested per-block handlers, before the exception reaches
         call_fn (whose defers must see the blocks already dead) *)
      while r.x_scopes > 0 do
        pop_scope st fr;

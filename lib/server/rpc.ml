@@ -37,7 +37,7 @@
     [sample_every], [engine], [domains]) mirror the CLI flags;
     ["domains"] is 0..64, where 0 (the default) means one domain.
     ["engine"] selects
-    the execution engine by name ([reference] | [closure] | [bytecode],
+    the execution engine by name ([reference] | [bytecode],
     default [bytecode]); the historical boolean ["reference"] param is
     kept as an alias for [{"engine":"reference"}].
 
@@ -173,7 +173,7 @@ let options_of_params params =
         match Gofree_api.engine_of_name name with
         | Some e -> e
         | None ->
-          bad "unknown engine %S (reference | closure | bytecode)" name
+          bad "unknown engine %S (reference | bytecode)" name
       end
       | None ->
         (* historical boolean alias for the reference tree-walker *)

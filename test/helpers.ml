@@ -29,6 +29,13 @@ let run_poison ?(config = Gofree_core.Config.gofree) src =
 
 let output ?config src = fst (run ?config src)
 
+(** [contains s sub] — plain substring test, keeps error-message checks
+    robust to wording around the key phrase. *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* Resolve golden files next to the test binary so the cases work under
    both [dune runtest] (cwd = test dir) and [dune exec] (cwd = root). *)
 let golden name =

@@ -269,6 +269,18 @@ let test_schema_guards_parsers () =
   | _ -> Alcotest.fail "wrong-schema document parsed"
   | exception Json.Parse_error _ -> ()
 
+(* Two engines; the retired closure engine's name no longer parses. *)
+let test_engine_names () =
+  List.iter
+    (fun e ->
+      Alcotest.(check bool)
+        (Gofree_api.engine_name e ^ " round-trips")
+        true
+        (Gofree_api.engine_of_name (Gofree_api.engine_name e) = Some e))
+    [ Gofree_api.Eng_reference; Gofree_api.Eng_bytecode ];
+  Alcotest.(check bool) "closure is not an engine" true
+    (Gofree_api.engine_of_name "closure" = None)
+
 let suite =
   [
     Alcotest.test_case "insertions match pipeline" `Quick
@@ -280,6 +292,7 @@ let suite =
     Alcotest.test_case "config json round-trip" `Quick
       test_config_json_roundtrip;
     Alcotest.test_case "error discipline" `Quick test_error_discipline;
+    Alcotest.test_case "engine names" `Quick test_engine_names;
     Alcotest.test_case "source key" `Quick test_source_key;
     Alcotest.test_case "schema tags" `Quick test_schema_tags;
     Alcotest.test_case "schema check diagnostics" `Quick test_schema_check;

@@ -210,13 +210,6 @@ func main() {
 }
 |}
 
-(** [contains s sub] — plain substring test, keeps error-message checks
-    robust to wording around the key phrase. *)
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 (* ---------------------------------------------------------------- *)
 (* Insertion-site comparison helpers                                 *)
 (* ---------------------------------------------------------------- *)
@@ -293,7 +286,7 @@ let check_type_error ~substring src_of_pkg =
   match src_of_pkg () with
   | _ -> Alcotest.failf "expected a type error mentioning %S" substring
   | exception Typecheck.Error (msg, _) ->
-    if not (contains msg substring) then
+    if not (Helpers.contains msg substring) then
       Alcotest.failf "error %S does not mention %S" msg substring
 
 let util_iface () =
@@ -484,7 +477,7 @@ let expect_build_error ~substring root =
   match B.Driver.build root with
   | _ -> Alcotest.failf "expected a build error mentioning %S" substring
   | exception (B.Driver.Error msg | B.Loader.Error msg) ->
-    if not (contains msg substring) then
+    if not (Helpers.contains msg substring) then
       Alcotest.failf "error %S does not mention %S" msg substring
 
 let test_import_cycle_rejected () =

@@ -1,12 +1,11 @@
-(** Differential tests for the lowered execution engines: the
-    closure-compiled mode and the bytecode VM must each be
-    observationally identical to the reference tree-walker — same
-    program output, same step count, and the same runtime metrics down
-    to the byte (alloc/free volumes, free ratio numerator and
+(** Differential tests for the lowered execution engine: the bytecode
+    VM must be observationally identical to the reference tree-walker —
+    same program output, same step count, and the same runtime metrics
+    down to the byte (alloc/free volumes, free ratio numerator and
     denominator, GC cycle count, maxheap, tcfree
     attempt/success/give-up counters).
 
-    The three engines share the allocator/map/call helpers, so a
+    The two engines share the allocator/map/call helpers, so a
     divergence here means a lowering changed evaluation order or
     skipped/added a safepoint or allocation somewhere. *)
 
@@ -16,11 +15,11 @@ module W = Gofree_workloads.Workloads
 let engines =
   [
     ("reference", Gofree_interp.Interp.Eng_reference);
-    ("closure", Gofree_interp.Interp.Eng_closure);
     ("bytecode", Gofree_interp.Interp.Eng_bytecode);
   ]
 
-let run_mode ~engine ?(config = Gofree_core.Config.gofree) src =
+let run_mode ~engine ?(config = Gofree_core.Config.gofree) ?(poison = false)
+    src =
   let run_config =
     {
       Gofree_interp.Interp.default_config with
@@ -29,6 +28,7 @@ let run_mode ~engine ?(config = Gofree_core.Config.gofree) src =
           Rt.Heap.default_config with
           min_heap = 96 * 1024;  (* small heap: force real GC activity *)
           grow_map_free_old = config.Gofree_core.Config.insert_tcfree;
+          poison_on_free = poison;
         };
       engine;
     }
@@ -44,12 +44,14 @@ let metrics_fingerprint (m : Rt.Metrics.t) : string =
 
 (* Run under every engine and require byte-identical observables,
    pairwise against the reference walker. *)
-let check_identical ~name ?config src =
-  let r_ref = run_mode ~engine:Gofree_interp.Interp.Eng_reference ?config src in
+let check_identical ~name ?config ?poison src =
+  let r_ref =
+    run_mode ~engine:Gofree_interp.Interp.Eng_reference ?config ?poison src
+  in
   List.iter
     (fun (ename, engine) ->
       if engine <> Gofree_interp.Interp.Eng_reference then begin
-        let r_cmp = run_mode ~engine ?config src in
+        let r_cmp = run_mode ~engine ?config ?poison src in
         Alcotest.(check string)
           (name ^ ": output (" ^ ename ^ ")")
           r_ref.Gofree_interp.Runner.output r_cmp.Gofree_interp.Runner.output;
@@ -246,6 +248,95 @@ func main() {
 }
 |}
 
+(* A field address whose base is a nested struct value, one function per
+   arm of the owner computation: through a pointer ([&p.in.f]), a slice
+   element ([&a[i].in.g]), a variable ([o.in.f = ...], [&o.in.f]) and an
+   explicit dereference ([&( *q).in.g]).  Each returned pointer is the last
+   reference to its object across the GCs [churn] forces, so under
+   poison a pointer that lost its owner reads freed memory. *)
+let src_nested_field_addr =
+  {|
+type In struct {
+  f int
+  g int
+}
+
+type Outer struct {
+  in  In
+  tag int
+}
+
+var keep []int
+
+func churn(n int) {
+  for i := 0; i < n; i = i + 1 {
+    t := make([]int, 32+rand(2))
+    t[1] = i
+    keep = t
+  }
+}
+
+func viaPtr() *int {
+  p := &Outer{tag: 1}
+  p.in.f = 11
+  return &p.in.f
+}
+
+func viaElem() *int {
+  a := make([]Outer, 3+rand(2))
+  a[1].in.g = 22
+  return &a[1].in.g
+}
+
+func viaLocal() *int {
+  var o Outer
+  o.in.f = 33
+  return &o.in.f
+}
+
+func viaDeref() *int {
+  q := &Outer{tag: 4}
+  (*q).in.g = 44
+  return &(*q).in.g
+}
+
+func main() {
+  var o Outer
+  o.in.g = 5
+  r := &o.in.g
+  p1 := viaPtr()
+  p2 := viaElem()
+  p3 := viaLocal()
+  p4 := viaDeref()
+  churn(3000)
+  println(*p1, *p2, *p3, *p4, *r)
+  *p1 = *p1 + 1
+  *p2 = *p2 + 1
+  *p3 = *p3 + 1
+  *p4 = *p4 + 1
+  *r = *r + 1
+  churn(3000)
+  println(*p1, *p2, *p3, *p4, *r, o.in.g)
+}
+|}
+
+let test_nested_field_addr () =
+  List.iter
+    (fun (name, config) ->
+      check_identical ~name ~config ~poison:true src_nested_field_addr;
+      let r =
+        run_mode ~engine:Gofree_interp.Interp.Eng_reference ~config
+          ~poison:true src_nested_field_addr
+      in
+      Alcotest.(check string)
+        (name ^ ": output") "11 22 33 44 5\n12 23 34 45 6 6\n"
+        r.Gofree_interp.Runner.output;
+      Alcotest.(check bool)
+        (name ^ ": GC ran") true
+        (r.Gofree_interp.Runner.metrics.Rt.Metrics.gc_cycles > 0))
+    [ ("nested field addr", Gofree_core.Config.gofree);
+      ("nested field addr (go)", Gofree_core.Config.go) ]
+
 let feature_cases =
   List.map
     (fun (name, src) ->
@@ -260,6 +351,10 @@ let feature_cases =
       ("structs+pointers", src_structs);
       ("slices", src_slices);
       ("ic invalidation", src_ic_invalidation);
+    ]
+  @ [
+      Alcotest.test_case "nested field addresses under poison" `Quick
+        test_nested_field_addr;
     ]
 
 (* ---- random programs ----------------------------------------------- *)

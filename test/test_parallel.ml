@@ -5,7 +5,7 @@
     in [test/golden/parallel] — same output, same step count, same
     [panicked], same metrics JSON (modulo the one wall-clock field) —
     across every Table 6 workload, the goroutine fan-out workload and
-    all three engines.  The goldens were generated by the earlier
+    both engines.  The goldens were generated by the earlier
     sequential effect-handler scheduler under these settings (seed 42,
     96 KiB [min_heap], default size), so the gate pins that schedule.
     Multi-domain runs are nondeterministically interleaved, so they are
@@ -24,7 +24,6 @@ module Trace = Gofree_obs.Trace
 let engines =
   [
     ("reference", Gofree_interp.Interp.Eng_reference);
-    ("closure", Gofree_interp.Interp.Eng_closure);
     ("bytecode", Gofree_interp.Interp.Eng_bytecode);
   ]
 

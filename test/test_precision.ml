@@ -35,7 +35,6 @@ let refined_modes = List.filter (fun (n, _) -> n <> "baseline") modes
 let engines =
   [
     ("reference", Gofree_interp.Interp.Eng_reference);
-    ("closure", Gofree_interp.Interp.Eng_closure);
     ("bytecode", Gofree_interp.Interp.Eng_bytecode);
   ]
 

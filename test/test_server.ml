@@ -104,6 +104,47 @@ let test_rpc_v2_config_roundtrip () =
         (requests config))
     Gofree_api.Preset.named
 
+(* The "engine" param names one of the two engines; the historical
+   boolean "reference" still selects the tree-walker, and the retired
+   closure engine is a bad request naming the valid choices. *)
+let test_rpc_engine_param () =
+  let line params =
+    Printf.sprintf
+      "{\"schema\":\"gofree-rpc-v2\",\"id\":1,\"method\":\"run\",\
+       \"params\":{\"source\":\"func main() {}\"%s}}"
+      params
+  in
+  List.iter
+    (fun (params, want) ->
+      match Rpc.decode (line params) with
+      | Ok { Rpc.rq_request = Rpc.Run { options; _ }; _ } ->
+        Alcotest.(check string) params
+          (Gofree_api.engine_name want)
+          (Gofree_api.engine_name options.Gofree_api.engine)
+      | Ok _ -> Alcotest.fail "decoded to the wrong method"
+      | Error (_, m) -> Alcotest.failf "%s rejected: %s" params m)
+    [
+      (",\"engine\":\"reference\"", Gofree_api.Eng_reference);
+      (",\"engine\":\"bytecode\"", Gofree_api.Eng_bytecode);
+      (",\"reference\":true", Gofree_api.Eng_reference);
+      ("", Gofree_api.Eng_bytecode);
+    ];
+  with_server (fun _ socket ->
+      let c = Client.connect ~socket in
+      Client.send_line c (line ",\"engine\":\"closure\"");
+      (match Client.recv c with
+      | Some r ->
+        let err = Json.get "error" r in
+        Alcotest.(check bool) "closure gets ok=false" true
+          (Json.get "ok" r = Json.Bool false);
+        Alcotest.(check string) "code is bad_request" "bad_request"
+          (Json.get_string "code" err);
+        let m = Json.get_string "message" err in
+        Alcotest.(check bool) ("message lists the engines: " ^ m) true
+          (Helpers.contains m "reference | bytecode")
+      | None -> Alcotest.fail "server dropped the connection");
+      Client.close c)
+
 (* v1 envelopes — the flat preset-name "config" under the old schema
    tag — must still decode, to the same configuration *)
 let test_rpc_v1_compat () =
@@ -634,6 +675,7 @@ let suite =
     Alcotest.test_case "rpc v2 config round-trip" `Quick
       test_rpc_v2_config_roundtrip;
     Alcotest.test_case "rpc v1 compatibility" `Quick test_rpc_v1_compat;
+    Alcotest.test_case "rpc engine param" `Quick test_rpc_engine_param;
     Alcotest.test_case "rpc precision config applies" `Quick
       test_rpc_precision_config_applies;
     Alcotest.test_case "analyze round-trip" `Quick test_analyze_roundtrip;

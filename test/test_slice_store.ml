@@ -4,19 +4,19 @@
     (array, index) pair.  These tests pin the Go semantics that
     representation must keep — write-through, pointer identity, pointers
     into an array that [append] has since replaced, struct elements,
-    overlapping [copy], views sharing one array — on every engine, with
-    and without poison, and check that a stale element pointer into a
-    freed array is still caught.  The last test bounds the host OCaml
-    minor collections of a fan-out run, the cost a per-element
-    representation would bring back. *)
+    overlapping [copy], views sharing one array, [append] growth copying
+    struct elements and zero-filling its spare capacity — on every
+    engine, with and without poison, and check that a stale element or
+    field pointer into a freed object is still caught.  The last test
+    bounds the host OCaml minor collections of a fan-out run, the cost a
+    per-element representation would bring back. *)
 
 module Rt = Gofree_runtime
 module I = Gofree_interp.Interp
 module W = Gofree_workloads.Workloads
 
 let engines =
-  [ ("reference", I.Eng_reference); ("closure", I.Eng_closure);
-    ("bytecode", I.Eng_bytecode) ]
+  [ ("reference", I.Eng_reference); ("bytecode", I.Eng_bytecode) ]
 
 let run_config ~engine ~poison =
   {
@@ -86,28 +86,87 @@ let aliasing_expected =
       "";
     ]
 
+(* [append] past capacity copies struct elements into the new array:
+   the two slices no longer share them. *)
+let growth_src =
+  {|
+type T struct {
+  f int
+  g int
+}
+
+func main() {
+  a := make([]T, 1, 1)
+  b := append(a, T{f: 1})
+  b[0].f = 5
+  println(a[0].f, b[0].f)
+  p := &b[0].g
+  *p = 7
+  println(a[0].g, b[0].g)
+}
+|}
+
+let growth_expected = "0 5
+0 7
+"
+
+(* The spare capacity of a grown array holds the element zero: one
+   shared scalar zero, a fresh struct per slot.  Growth from capacity 4
+   gives capacity 8 here and in Go. *)
+let tail_src =
+  {|
+type T struct {
+  f int
+  g int
+}
+
+func main() {
+  s := make([]int, 4, 4)
+  s = append(s, 3)
+  t := s[0:cap(s)]
+  println(t[4], t[5], t[7], len(t))
+  ts := make([]T, 4, 4)
+  ts = append(ts, T{f: 2})
+  u := ts[0:cap(ts)]
+  u[6].f = 9
+  println(u[4].f, u[5].f, u[6].f, u[7].f, u[6].g)
+}
+|}
+
+let tail_expected = "3 0 0 8
+2 0 9 0 0
+"
+
 let test_aliasing () =
-  let reference =
-    Gofree_interp.Runner.compile_and_run
-      ~run_config:(run_config ~engine:I.Eng_reference ~poison:false)
-      aliasing_src
-  in
-  Alcotest.(check string) "reference walker matches Go" aliasing_expected
-    reference.Gofree_interp.Runner.output;
   List.iter
-    (fun poison ->
+    (fun (what, src, expected) ->
+      let reference =
+        Gofree_interp.Runner.compile_and_run
+          ~run_config:(run_config ~engine:I.Eng_reference ~poison:false)
+          src
+      in
+      Alcotest.(check string)
+        (what ^ ": reference walker matches Go")
+        expected reference.Gofree_interp.Runner.output;
       List.iter
-        (fun (name, engine) ->
-          let r =
-            Gofree_interp.Runner.compile_and_run
-              ~run_config:(run_config ~engine ~poison) aliasing_src
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s, poison %b" name poison)
-            reference.Gofree_interp.Runner.output
-            r.Gofree_interp.Runner.output)
-        engines)
-    [ false; true ]
+        (fun poison ->
+          List.iter
+            (fun (name, engine) ->
+              let r =
+                Gofree_interp.Runner.compile_and_run
+                  ~run_config:(run_config ~engine ~poison) src
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s: %s, poison %b" what name poison)
+                reference.Gofree_interp.Runner.output
+                r.Gofree_interp.Runner.output)
+            engines)
+        [ false; true ])
+    [
+      ("aliasing", aliasing_src, aliasing_expected);
+      ("growth", growth_src, growth_expected);
+      ("tail", tail_src, tail_expected);
+    ]
 
 (* [s] is heap-allocated (its length is not a constant); the test
    inserts a wrong tcfree of [s] between the two reads through [p]. *)
@@ -122,39 +181,43 @@ func main() {
 }
 |}
 
-let with_wrong_free () =
-  let compiled = Helpers.compile_go stale_src in
+(* [src] compiled under stock Go, plus a wrong tcfree of [var]'s object
+   (of [kind]) inserted right after main's first println. *)
+let with_wrong_free ?(src = stale_src) ?(var = "s")
+    ?(kind = Minigo.Tast.Free_slice) () =
+  let compiled = Helpers.compile_go src in
   let main =
     Option.get
       (Minigo.Tast.find_func compiled.Gofree_core.Pipeline.c_program "main")
   in
   let body = main.Minigo.Tast.f_body in
-  let s =
+  let v =
     List.find_map
       (function
-        | Minigo.Tast.Sdecl (v, _) when v.Minigo.Tast.v_name = "s" -> Some v
+        | Minigo.Tast.Sdecl (v, _) when v.Minigo.Tast.v_name = var -> Some v
         | _ -> None)
       body.Minigo.Tast.b_stmts
     |> Option.get
   in
-  (* after the first println *)
   let rec insert seen = function
     | [] -> []
     | (Minigo.Tast.Sprint _ as st) :: rest when not seen ->
-      st :: Minigo.Tast.Stcfree (s, Minigo.Tast.Free_slice) :: insert true rest
+      st :: Minigo.Tast.Stcfree (v, kind) :: insert true rest
     | st :: rest -> st :: insert seen rest
   in
   body.Minigo.Tast.b_stmts <- insert false body.Minigo.Tast.b_stmts;
   compiled
 
-let test_stale_element_pointer () =
+(* The stale program prints "42\n42\n" without poison, after a free
+   that succeeded, and raises [Corruption] with poison. *)
+let check_stale_read_caught ~what make =
   List.iter
     (fun (name, engine) ->
-      (* without poison the freed array keeps its old contents *)
+      (* without poison the freed object keeps its old contents *)
       let r =
         Gofree_interp.Runner.run
           ~config:(run_config ~engine ~poison:false)
-          (with_wrong_free ())
+          (make ())
       in
       Alcotest.(check string) (name ^ ": no poison") "42\n42\n"
         r.Gofree_interp.Runner.output;
@@ -163,11 +226,58 @@ let test_stale_element_pointer () =
       match
         Gofree_interp.Runner.run
           ~config:(run_config ~engine ~poison:true)
-          (with_wrong_free ())
+          (make ())
       with
-      | _ -> Alcotest.failf "%s: stale element read not caught" name
+      | _ -> Alcotest.failf "%s: stale %s read not caught" name what
       | exception Gofree_interp.Value.Corruption _ -> ())
     engines
+
+let test_stale_element_pointer () =
+  check_stale_read_caught ~what:"element" (fun () -> with_wrong_free ())
+
+(* Field pointers hold a struct's inner field cell: one into a heap
+   struct ([&o.f], freed as an object) and one into a struct element of
+   a heap slice ([&a[i].f], freed as a slice). *)
+let stale_field_src =
+  {|
+type O struct {
+  f int
+  g int
+}
+
+var keep *O
+
+func main() {
+  o := &O{f: 42}
+  keep = o
+  p := &o.f
+  println(*p)
+  println(*p)
+}
+|}
+
+let stale_elem_field_src =
+  {|
+type O struct {
+  f int
+  g int
+}
+
+func main() {
+  a := make([]O, 4+rand(2))
+  a[2].f = 42
+  p := &a[2].f
+  println(*p)
+  println(*p)
+}
+|}
+
+let test_stale_field_pointer () =
+  check_stale_read_caught ~what:"field" (fun () ->
+      with_wrong_free ~src:stale_field_src ~var:"o"
+        ~kind:Minigo.Tast.Free_obj ());
+  check_stale_read_caught ~what:"element field" (fun () ->
+      with_wrong_free ~src:stale_elem_field_src ~var:"a" ())
 
 (* Host OCaml minor collections of one fan-out run at one domain.  With
    a per-element cell store this run took ~388; the flat store takes
@@ -192,6 +302,8 @@ let suite =
       test_aliasing;
     Alcotest.test_case "stale element pointer caught under poison" `Quick
       test_stale_element_pointer;
+    Alcotest.test_case "stale field pointer caught under poison" `Quick
+      test_stale_field_pointer;
     Alcotest.test_case "fanout host minor GCs bounded" `Quick
       test_host_minor_gcs;
   ]
