@@ -1,14 +1,14 @@
-(** Incremental-build latency: cold vs package-warm vs unit-warm.
+(** Incremental-build latency: cold vs no-edit warm vs unit-warm.
 
-    For the six paper workloads (as one-package trees) and the
-    three-package multipkg example, measure the driver's rebuild latency
-    after a one-function edit at each cache level:
-    - {b cold}: [~force:true], both cache levels ignored;
-    - {b package-warm}: the edit invalidates the package entry and, with
-      the unit cache disabled ({!Gofree_build.Driver.no_unit_cache}),
-      every unit of the package re-solves — the pre-unit-cache behavior;
-    - {b unit-warm}: the same edit with the function-granular cache on —
-      only the edited function's SCC unit re-solves.
+    For the six paper workloads (as one-package trees), the
+    three-package multipkg example and a wide 64-function package,
+    measure the driver's rebuild latency:
+    - {b cold}: [~force:true], the unit cache ignored;
+    - {b no-edit warm}: a rebuild of the unchanged tree — every unit
+      replays and no cache file is written, so this is the cache's
+      fixed cost (loading, typechecking, keying, replay, linking);
+    - {b unit-warm}: a rebuild after a one-function edit — only the
+      edited function's SCC unit re-solves.
 
     Also the intra-package parallel scaling of the analysis (walkall is
     the dominant pass): a wide one-package call DAG force-built with 1,
@@ -99,10 +99,10 @@ let edit_target src =
 (* Timed builds                                                      *)
 (* ---------------------------------------------------------------- *)
 
-let timed_build ?unit_cache ?(force = false) root =
+let timed_build ?(force = false) root =
   Gc.major ();
   let t0 = Unix.gettimeofday () in
-  let r = B.Driver.build ?unit_cache ~force root in
+  let r = B.Driver.build ~force root in
   ((Unix.gettimeofday () -. t0) *. 1000.0, r)
 
 let median_ms samples = Gofree_stats.Stats.median (Array.of_list samples)
@@ -160,10 +160,11 @@ let multipkg_subject =
     edit = ("util/util.go", "Sum");
   }
 
-(** Measure one subject.  Warm builds toggle the pad edit on and off:
-    each rebuild sees exactly one changed function, and because the
+(** Measure one subject.  Unit-warm builds toggle the pad edit on and
+    off: each rebuild sees exactly one changed function, and because the
     unit-record set is replaced per commit, every toggle re-solves
-    exactly one unit when the unit cache is on. *)
+    exactly one unit.  No-edit warm builds rebuild the tree as the last
+    build left it. *)
 let measure_subject ~options sub =
   let root = make_tree sub.files in
   let rel, fname = sub.edit in
@@ -181,33 +182,34 @@ let measure_subject ~options sub =
     toggled := not !toggled;
     write_file path (if !toggled then padded else orig)
   in
-  let warm ?unit_cache () =
-    ignore (B.Driver.build ?unit_cache root);
+  let warm ~edit =
+    ignore (B.Driver.build root);
     let samples = ref [] and resolved = ref 0 in
     for _ = 0 to options.runs do
-      toggle ();
-      let ms, r = timed_build ?unit_cache root in
+      if edit then toggle ();
+      let ms, r = timed_build root in
       resolved := r.B.Driver.b_stats.B.Driver.bs_unit_misses;
       samples := ms :: !samples
     done;
     (median_ms !samples, !resolved)
   in
-  let unit_ms, unit_resolved = warm () in
-  let pkg_ms, pkg_resolved = warm ~unit_cache:B.Driver.no_unit_cache () in
+  let unit_ms, unit_resolved = warm ~edit:true in
+  let noedit_ms, noedit_resolved = warm ~edit:false in
   (* drop the warmup sample taken before the loop counted from 0 *)
   let cold_ms = median_ms (List.tl !cold_samples) in
   Printf.printf
-    "  %-10s units %-3d cold %8.2f ms   pkg-warm %8.2f ms (%d units)   \
+    "  %-10s units %-3d cold %8.2f ms   no-edit warm %8.2f ms (%d units)   \
      unit-warm %8.2f ms (%d unit)\n\
      %!"
-    sub.sub_name !units cold_ms pkg_ms pkg_resolved unit_ms unit_resolved;
+    sub.sub_name !units cold_ms noedit_ms noedit_resolved unit_ms
+    unit_resolved;
   ( sub.sub_name,
     Json.Obj
       [
         ("units", Json.Int !units);
         ("cold_ms", Json.Float cold_ms);
-        ("pkg_warm_ms", Json.Float pkg_ms);
-        ("pkg_warm_units_resolved", Json.Int pkg_resolved);
+        ("noedit_warm_ms", Json.Float noedit_ms);
+        ("noedit_warm_units_resolved", Json.Int noedit_resolved);
         ("unit_warm_ms", Json.Float unit_ms);
         ("unit_warm_units_resolved", Json.Int unit_resolved);
       ] )
@@ -296,5 +298,5 @@ let measure ~options () : Json.t =
     [ ("subjects", Json.Obj rows); ("parallel_walkall", parallel) ]
 
 let run ~options () =
-  heading "Incremental rebuild latency (cold / package-warm / unit-warm)";
+  heading "Incremental rebuild latency (cold / no-edit warm / unit-warm)";
   ignore (measure ~options ())

@@ -11,7 +11,7 @@
       end-to-end latency a client sees, not just the cache lookup.
 
     - {e build}: the [examples/multipkg] tree (copied to a scratch
-      directory), built cold with a fresh summary store versus served
+      directory), built cold with a fresh unit store versus served
       warm by the daemon, with the insertions checked byte-identical
       across every path — the point being that the fast path changes
       nothing but the latency. *)

@@ -205,11 +205,12 @@ let jobs_arg =
 
 let cache_arg =
   Arg.(value & opt (some string) None & info [ "cache-dir" ]
-         ~doc:"Summary store location (default DIR/.gofree-cache)")
+         ~doc:"Unit-record cache location (default DIR/.gofree-cache)")
 
 let force_flag =
   Arg.(value & flag & info [ "force" ]
-         ~doc:"Ignore the summary store; re-analyze every package")
+         ~doc:"Ignore the unit-record cache; re-analyze every unit (the \
+               cache is still refreshed)")
 
 let build_cmd =
   let run_flag =

@@ -552,10 +552,9 @@ type build_stats = Gofree_build.Driver.stats
 type unit_cache = Gofree_build.Driver.unit_cache
 
 (** Build the multi-package tree rooted at [dir] (incremental through
-    the on-disk summary store layered over function-granular unit
-    records, parallel analysis on [jobs] domains).  [unit_cache]
-    defaults to the on-disk unit cache under the tree's cache
-    directory. *)
+    content-keyed function-granular unit records, parallel analysis on
+    [jobs] domains).  [unit_cache] defaults to the on-disk unit cache
+    under the tree's cache directory. *)
 let build_dir ?(config = Gofree_core.Config.gofree) ?cache_dir ?(jobs = 0)
     ?(force = false) ?unit_cache (dir : string) : (build, error) result =
   wrap_errors (fun () ->
@@ -577,7 +576,8 @@ let build_stats_to_json = Gofree_build.Driver.stats_to_json
 let build_insertions (b : build) : insertion list =
   insertions_of_list b.bb_result.Gofree_build.Driver.b_inserted
 
-(** Packages built, cache hits among them. *)
+(** Packages built, cache hits among them (packages whose every unit
+    replayed). *)
 let build_cache_counts (b : build) : int * int =
   let st = b.bb_result.Gofree_build.Driver.b_stats in
   ( List.length st.Gofree_build.Driver.bs_pkgs,

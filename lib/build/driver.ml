@@ -6,22 +6,22 @@
     + typecheck sequentially in topological order, threading the
       variable/scope/site id bases so ids stay globally unique and the
       packages link without renumbering;
-    + for each package, compute its content-hash key; on a cache hit
-      ({!Store}) skip the escape analysis entirely and replay the
-      recorded tcfree insertions, otherwise analyze the package against
-      its dependencies' {e stored summaries} (paper §4.4: a callee's
-      extended parameter tag is all a caller needs) — packages within a
-      wave are independent and run on parallel {!Domain}s, and {e
-      within} a package the analysis solves call-graph SCC units on a
-      shared worker pool ({!Gofree_sched.Pool});
-    + on a package-level miss, consult the {e function-granular} unit
-      cache: units whose content key (bodies ⊕ callee summary contents ⊕
-      config) is unchanged replay their recorded insertions and
-      decisions instead of re-analyzing, so one edited function
-      re-solves only its own SCC plus the units whose callee-summary
-      contents actually changed;
+    + analyze each package against its dependencies' summaries, held in
+      memory for the rest of the build (paper §4.4: a callee's extended
+      parameter tag is all a caller needs) — packages within a wave are
+      independent and run on parallel {!Domain}s, and {e within} a
+      package the analysis solves call-graph SCC units on a shared
+      worker pool ({!Gofree_sched.Pool});
+    + consult the function-granular unit cache ({!Store}) for every
+      unit: a unit whose content key (bodies and the struct layouts
+      they use ⊕ callee summary contents ⊕ config) is unchanged replays
+      its recorded insertions and decisions instead of re-analyzing, so
+      one edited function re-solves only its own SCC plus the units
+      whose callee-summary contents actually changed, and an unedited
+      package re-solves nothing;
     + link everything into one {!Tast.program} plus the runtime's
-      stack/heap and boxing decision arrays.
+      stack/heap and boxing decision arrays, read off each package's
+      unit records.
 
     The import graph is acyclic, so per-package analysis seeded with
     callee summaries computes exactly what the whole-program SCC order
@@ -43,11 +43,11 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
 type pkg_report = {
   pr_name : string;
   pr_wave : int;  (** dependency wave the package was scheduled in *)
-  pr_cached : bool;  (** analysis skipped, summaries came from the store *)
-  pr_ms : float;  (** analysis time; 0 for cache hits *)
+  pr_cached : bool;  (** every unit replayed from the unit cache *)
+  pr_ms : float;  (** analysis time, unit replay included *)
   pr_nfuncs : int;
   pr_nsummaries : int;
-  pr_units : int;  (** analysis units (call-graph SCCs); 0 on pkg hits *)
+  pr_units : int;  (** analysis units (call-graph SCCs) *)
   pr_unit_hits : int;  (** units replayed from the unit cache *)
 }
 
@@ -87,14 +87,11 @@ type unit_cache = {
   uc_commit : pkg:string -> Store.unit_record list -> unit;
 }
 
-(** Always misses, never stores: a build with package-level caching
-    only (what the driver did before unit records existed). *)
-let no_unit_cache =
-  { uc_lookup = (fun ~pkg:_ ~key:_ -> None); uc_commit = (fun ~pkg:_ _ -> ()) }
-
 (** The on-disk unit cache: [<dir>/<pkg>.units], loaded lazily once per
-    package and replaced wholesale on commit.  Thread-safe — package
-    schedulers on different domains share one instance per build. *)
+    package and replaced wholesale on commit — unless the committed set
+    has exactly the content keys already loaded, in which case nothing
+    is written.  Thread-safe — package schedulers on different domains
+    share one instance per build. *)
 let disk_unit_cache ~dir : unit_cache =
   let mutex = Mutex.create () in
   let loaded : (string, (string, Store.unit_record) Hashtbl.t) Hashtbl.t =
@@ -124,13 +121,25 @@ let disk_unit_cache ~dir : unit_cache =
     uc_commit =
       (fun ~pkg records ->
         Mutex.lock mutex;
-        let t = Hashtbl.create 16 in
-        List.iter
-          (fun (r : Store.unit_record) -> Hashtbl.replace t r.Store.u_key r)
-          records;
-        Hashtbl.replace loaded pkg t;
-        (try Store.save_units ~dir ~pkg records
-         with Sys_error _ -> ());
+        (* equal keys mean equal records, so an equal key set is an
+           unchanged file *)
+        let unchanged =
+          match Hashtbl.find_opt loaded pkg with
+          | Some t ->
+            Hashtbl.length t = List.length records
+            && List.for_all
+                 (fun (r : Store.unit_record) -> Hashtbl.mem t r.Store.u_key)
+                 records
+          | None -> false
+        in
+        if not unchanged then begin
+          let t = Hashtbl.create 16 in
+          List.iter
+            (fun (r : Store.unit_record) -> Hashtbl.replace t r.Store.u_key r)
+            records;
+          Hashtbl.replace loaded pkg t;
+          try Store.save_units ~dir ~pkg records with Sys_error _ -> ()
+        end;
         Mutex.unlock mutex);
   }
 
@@ -139,9 +148,13 @@ let disk_unit_cache ~dir : unit_cache =
 (* ------------------------------------------------------------------ *)
 
 type pkg_outcome = {
-  po_entry : Store.entry;
+  po_summaries : E.Summary.t list;
+      (** the package's own functions', declaration order: what its
+          dependents import *)
   po_inserted : Core.Instrument.inserted list;
   po_records : Store.unit_record list;  (** complete set, unit order *)
+  po_heap_sites : int list;  (** absolute ids of heap-allocated sites *)
+  po_boxed : int list;  (** absolute ids of boxed variables *)
   po_units : int;
   po_unit_hits : int;
   po_ms : float;
@@ -173,14 +186,15 @@ let func_bases (tp : Tast.program) =
     tp.Tast.p_sites;
   (min_var, min_site)
 
-(* Analyze one package against its dependencies' summaries and compress
-   the outcome into a store entry plus per-unit records.  Runs on a
-   worker domain: everything it touches (its own typed program, the
-   read-only tenv, the imported summary list) is either private or
-   immutable during the wave; the unit cache and the shared pool are
-   thread-safe. *)
-let analyze_package ~config ~key ~name ~base_var ~nvars ~nsites ~imported
-    ~pool ~(lookup : pkg:string -> key:string -> Store.unit_record option)
+(* Analyze one package against its dependencies' summaries: units the
+   cache knows replay their records, the rest are solved and recorded.
+   The outcome carries the package's complete record set and the link
+   decisions read off it.  Runs on a worker domain: everything it
+   touches (its own typed program, the read-only tenv, the imported
+   summary list) is either private or immutable during the wave; the
+   unit cache and the shared pool are thread-safe. *)
+let analyze_package ~config ~name ~base_var ~nvars ~imported ~pool
+    ~(lookup : pkg:string -> key:string -> Store.unit_record option)
     (tp : Tast.program) : pkg_outcome =
   let t0 = now_ms () in
   let min_var, min_site = func_bases tp in
@@ -266,70 +280,6 @@ let analyze_package ~config ~key ~name ~base_var ~nvars ~nsites ~imported
         Hashtbl.find_opt analysis.E.Analysis.summaries f.Tast.f_name)
       tp.Tast.p_funcs
   in
-  let frees =
-    List.map
-      (fun (i : Core.Instrument.inserted) ->
-        ( i.Core.Instrument.ins_func,
-          i.Core.Instrument.ins_var.Tast.v_id - base_var,
-          (match i.Core.Instrument.ins_field with
-          | Some (idx, _) -> idx
-          | None -> -1),
-          i.Core.Instrument.ins_kind ))
-      inserted
-  in
-  let site_heap =
-    List.map
-      (fun (s : Tast.alloc_site) ->
-        match Hashtbl.find_opt cached_func s.Tast.site_func with
-        | Some r -> begin
-          let fn = s.Tast.site_func in
-          let rel = s.Tast.site_id - site_base fn in
-          match
-            List.find_opt
-              (fun (func, r2, _) -> func = fn && r2 = rel)
-              r.Store.u_sites
-          with
-          | Some (_, _, heap) -> heap
-          | None -> true  (* unknown to the record: stay conservative *)
-        end
-        | None -> E.Analysis.site_is_heap analysis ~func:s.Tast.site_func s)
-      tp.Tast.p_sites
-  in
-  (* Boxed variables, package-relative: analyzed functions from the live
-     graphs, cached ones from their records. *)
-  let boxed = ref [] in
-  Hashtbl.iter
-    (fun _ (fr : E.Analysis.func_result) ->
-      Hashtbl.iter
-        (fun var_id (l : E.Loc.t) ->
-          match l.E.Loc.kind with
-          | E.Loc.Kvar v
-            when v.Tast.v_kind <> Tast.Vglobal && l.E.Loc.heap_alloc ->
-            let rel = var_id - base_var in
-            if rel >= 0 && rel < nvars then boxed := rel :: !boxed
-          | _ -> ())
-        fr.E.Analysis.fr_ctx.E.Build.var_locs)
-    analysis.E.Analysis.funcs;
-  Hashtbl.iter
-    (fun fn (r : Store.unit_record) ->
-      List.iter
-        (fun (func, rel) ->
-          if func = fn then
-            boxed := (var_base fn + rel - base_var) :: !boxed)
-        r.Store.u_boxed)
-    cached_func;
-  let entry =
-    {
-      Store.e_pkg = name;
-      e_key = key;
-      e_nvars = nvars;
-      e_nsites = nsites;
-      e_summaries = own_summaries;
-      e_frees = frees;
-      e_site_heap = site_heap;
-      e_var_boxed = List.sort_uniq compare !boxed;
-    }
-  in
   (* Unit records: hits pass through unchanged, misses are compressed
      from the fresh analysis — together the package's complete set. *)
   let records =
@@ -395,6 +345,42 @@ let analyze_package ~config ~key ~name ~base_var ~nvars ~nsites ~imported
         end)
       analysis.E.Analysis.units
   in
+  (* Link decisions, read off the complete record set.  A site no record
+     covers belongs to no function: it keeps the analysis' answer, which
+     is heap for anything the analysis did not solve. *)
+  let recorded_sites = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Store.unit_record) ->
+      List.iter
+        (fun (fn, rel, heap) -> Hashtbl.replace recorded_sites (fn, rel) heap)
+        r.Store.u_sites)
+    records;
+  let heap_sites =
+    List.filter_map
+      (fun (s : Tast.alloc_site) ->
+        let fn = s.Tast.site_func in
+        let heap =
+          match
+            Hashtbl.find_opt recorded_sites (fn, s.Tast.site_id - site_base fn)
+          with
+          | Some heap -> heap
+          | None -> E.Analysis.site_is_heap analysis ~func:fn s
+        in
+        if heap then Some s.Tast.site_id else None)
+      tp.Tast.p_sites
+  in
+  let boxed =
+    List.concat_map
+      (fun (r : Store.unit_record) ->
+        List.filter_map
+          (fun (fn, rel) ->
+            match Hashtbl.find_opt min_var fn with
+            | Some b when b + rel >= base_var && b + rel < base_var + nvars ->
+              Some (b + rel)
+            | _ -> None)
+          r.Store.u_boxed)
+      records
+  in
   let unit_hits =
     List.length
       (List.filter
@@ -402,20 +388,21 @@ let analyze_package ~config ~key ~name ~base_var ~nvars ~nsites ~imported
          analysis.E.Analysis.units)
   in
   {
-    po_entry = entry;
+    po_summaries = own_summaries;
     po_inserted = inserted;
     po_records = records;
+    po_heap_sites = heap_sites;
+    po_boxed = boxed;
     po_units = List.length analysis.E.Analysis.units;
     po_unit_hits = unit_hits;
     po_ms = now_ms () -. t0;
   }
 
 (** Build the multi-package tree rooted at [root].  [jobs = 0] (the
-    default) picks a worker count from the machine; [force] ignores both
-    cache levels (package entries and unit records) while still
-    refreshing them.  [unit_cache] defaults to the on-disk cache under
-    [cache_dir]; pass {!no_unit_cache} for package-level caching only.
-    Raises {!Error} (or {!Loader.Error}) on build problems. *)
+    default) picks a worker count from the machine; [force] ignores the
+    unit cache while still refreshing it.  [unit_cache] defaults to the
+    on-disk cache under [cache_dir].  Raises {!Error} (or
+    {!Loader.Error}) on build problems. *)
 let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
     ?(force = false) ?unit_cache (root : string) : result =
   let t_start = now_ms () in
@@ -434,8 +421,8 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
     | Some uc -> uc
     | None -> disk_unit_cache ~dir:cache_dir
   in
-  (* force = cold: no lookups on either level, but commits still refresh
-     both caches for the next build. *)
+  (* force = cold: no lookups, but commits still refresh the cache for
+     the next build. *)
   let lookup =
     if force then fun ~pkg:_ ~key:_ -> None else unit_cache.uc_lookup
   in
@@ -451,8 +438,7 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
   (* -------- sequential typecheck in topological order -------- *)
   let ifaces = Hashtbl.create 8 in
   let tprogs = Hashtbl.create 8 in
-  let bases = Hashtbl.create 8 in  (* name -> (base_var, base_site) *)
-  let owned = Hashtbl.create 8 in  (* name -> (nvars, nsites) *)
+  let var_ranges = Hashtbl.create 8 in  (* name -> (base_var, nvars) *)
   let next = ref (0, 0, 0) in
   List.iter
     (fun name ->
@@ -474,37 +460,14 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
       in
       Hashtbl.replace ifaces name iface;
       Hashtbl.replace tprogs name tp;
-      Hashtbl.replace bases name (first_var, first_site);
-      Hashtbl.replace owned name
-        ( counters.Typecheck.c_next_var - first_var,
-          counters.Typecheck.c_next_site - first_site );
+      Hashtbl.replace var_ranges name
+        (first_var, counters.Typecheck.c_next_var - first_var);
       next :=
         ( counters.Typecheck.c_next_var,
           counters.Typecheck.c_next_scope,
           counters.Typecheck.c_next_site ))
     order;
   let total_vars, _, total_sites = !next in
-  (* -------- cache keys (dep keys feed in: transitive invalidation) --- *)
-  let keys = Hashtbl.create 8 in
-  List.iter
-    (fun name ->
-      let p = pkg name in
-      let dep_keys = List.map (Hashtbl.find keys) p.Loader.pkg_deps in
-      Hashtbl.replace keys name
-        (Store.key ~sources:p.Loader.pkg_files ~dep_keys ~config))
-    order;
-  let cached = Hashtbl.create 8 in
-  if not force then
-    List.iter
-      (fun name ->
-        match Store.load ~dir:cache_dir ~pkg:name with
-        | Some e
-          when e.Store.e_key = Hashtbl.find keys name
-               && (let nv, ns = Hashtbl.find owned name in
-                   e.Store.e_nvars = nv && e.Store.e_nsites = ns) ->
-          Hashtbl.replace cached name e
-        | _ -> ())
-      order;
   (* One worker pool for the whole build: package schedulers (bucket
      domains, below) fan their ready analysis units out to it.  Workers
      never submit, so a full queue cannot deadlock. *)
@@ -513,83 +476,29 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
   in
   Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool)
   @@ fun () ->
-  (* -------- per-wave analysis; misses run on parallel domains ------- *)
-  let entries = Hashtbl.create 8 in
-  let inserted = Hashtbl.create 8 in
-  let times = Hashtbl.create 8 in
-  let unit_counts = Hashtbl.create 8 in  (* name -> (units, unit hits) *)
+  (* -------- per-wave analysis on parallel domains -------- *)
+  let outcomes = Hashtbl.create 8 in
   let wave_of = Hashtbl.create 8 in
   List.iteri
     (fun wave_idx wave ->
       List.iter (fun n -> Hashtbl.replace wave_of n wave_idx) wave;
-      let hits, misses = List.partition (Hashtbl.mem cached) wave in
-      if Trace.enabled () then begin
+      if Trace.enabled () then
         Trace.begin_span
-          ~args:
-            [
-              ("packages", Json.Int (List.length wave));
-              ("hits", Json.Int (List.length hits));
-              ("misses", Json.Int (List.length misses));
-            ]
+          ~args:[ ("packages", Json.Int (List.length wave)) ]
           ~tid:(Trace.domain_tid ())
           (Printf.sprintf "wave %d" wave_idx);
-        List.iter
-          (fun n ->
-            Trace.instant
-              ~args:[ ("pkg", Json.Str n) ]
-              ~tid:(Trace.domain_tid ()) "cache hit")
-          hits;
-        List.iter
-          (fun n ->
-            Trace.instant
-              ~args:[ ("pkg", Json.Str n) ]
-              ~tid:(Trace.domain_tid ()) "cache miss")
-          misses
-      end;
-      (* Cache hits: no analysis; re-apply the recorded frees to the
-         fresh bodies, shifting stored relative ids onto this build's
-         id base. *)
-      List.iter
-        (fun name ->
-          let e = Hashtbl.find cached name in
-          let tp = Hashtbl.find tprogs name in
-          let base_var, _ = Hashtbl.find bases name in
-          let ins =
-            List.concat_map
-              (fun (f : Tast.func) ->
-                let frees =
-                  List.filter_map
-                    (fun (fn, rel, fidx, kind) ->
-                      if fn = f.Tast.f_name then
-                        Some (base_var + rel, fidx, kind)
-                      else None)
-                    e.Store.e_frees
-                in
-                if frees = [] then []
-                else
-                  Core.Instrument.replay_function ~tenv:tp.Tast.p_tenv
-                    ~config f frees)
-              tp.Tast.p_funcs
-          in
-          Hashtbl.replace entries name e;
-          Hashtbl.replace inserted name ins;
-          Hashtbl.replace times name 0.;
-          Hashtbl.replace unit_counts name (0, 0))
-        hits;
-      (* Misses: capture every input in the parent so worker domains
-         share nothing mutable, then fan out. *)
+      (* Capture every input in the parent so worker domains share
+         nothing mutable, then fan out. *)
       let tasks =
         List.map
           (fun name ->
             let p = pkg name in
             let imported =
               List.concat_map
-                (fun d -> (Hashtbl.find entries d).Store.e_summaries)
+                (fun d -> (Hashtbl.find outcomes d).po_summaries)
                 p.Loader.pkg_deps
             in
-            let base_var, _ = Hashtbl.find bases name in
-            let nvars, nsites = Hashtbl.find owned name in
-            let key = Hashtbl.find keys name in
+            let base_var, nvars = Hashtbl.find var_ranges name in
             let tp = Hashtbl.find tprogs name in
             fun () ->
               (* lands on the worker's track when run from a domain *)
@@ -598,11 +507,11 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
                 ("analyze:" ^ name)
                 (fun () ->
                   let outcome =
-                    analyze_package ~config ~key ~name ~base_var ~nvars
-                      ~nsites ~imported ~pool ~lookup tp
+                    analyze_package ~config ~name ~base_var ~nvars ~imported
+                      ~pool ~lookup tp
                   in
                   (name, outcome)))
-          misses
+          wave
       in
       let results =
         if jobs <= 1 || List.length tasks <= 1 then
@@ -631,12 +540,8 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
       in
       List.iter
         (fun (name, (o : pkg_outcome)) ->
-          Store.save ~dir:cache_dir o.po_entry;
           unit_cache.uc_commit ~pkg:name o.po_records;
-          Hashtbl.replace entries name o.po_entry;
-          Hashtbl.replace inserted name o.po_inserted;
-          Hashtbl.replace times name o.po_ms;
-          Hashtbl.replace unit_counts name (o.po_units, o.po_unit_hits))
+          Hashtbl.replace outcomes name o)
         results;
       Trace.end_span ~tid:(Trace.domain_tid ())
         (Printf.sprintf "wave %d" wave_idx))
@@ -672,32 +577,26 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
   Core.Instrument.assign_temp_ids linked;
   let site_heap = Array.make (max 1 total_sites) false in
   let var_boxed = Array.make (max 1 linked.Tast.p_nvars) false in
-  List.iter
-    (fun name ->
-      let e = Hashtbl.find entries name in
-      let base_var, base_site = Hashtbl.find bases name in
-      List.iteri
-        (fun i b -> if b then site_heap.(base_site + i) <- true)
-        e.Store.e_site_heap;
-      List.iter (fun rel -> var_boxed.(base_var + rel) <- true)
-        e.Store.e_var_boxed)
-    order;
+  Hashtbl.iter
+    (fun _ (o : pkg_outcome) ->
+      List.iter (fun id -> site_heap.(id) <- true) o.po_heap_sites;
+      List.iter (fun id -> var_boxed.(id) <- true) o.po_boxed)
+    outcomes;
   Trace.end_span ~tid:(Trace.domain_tid ()) "link";
   let reports =
     List.map
       (fun name ->
-        let units, unit_hits = Hashtbl.find unit_counts name in
+        let o = Hashtbl.find outcomes name in
         {
           pr_name = name;
           pr_wave = Hashtbl.find wave_of name;
-          pr_cached = Hashtbl.mem cached name;
-          pr_ms = Hashtbl.find times name;
+          pr_cached = o.po_units > 0 && o.po_unit_hits = o.po_units;
+          pr_ms = o.po_ms;
           pr_nfuncs =
             List.length (Hashtbl.find tprogs name).Tast.p_funcs;
-          pr_nsummaries =
-            List.length (Hashtbl.find entries name).Store.e_summaries;
-          pr_units = units;
-          pr_unit_hits = unit_hits;
+          pr_nsummaries = List.length o.po_summaries;
+          pr_units = o.po_units;
+          pr_unit_hits = o.po_unit_hits;
         })
       order
   in
@@ -711,7 +610,8 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
   in
   {
     b_program = linked;
-    b_inserted = List.concat_map (fun n -> Hashtbl.find inserted n) order;
+    b_inserted =
+      List.concat_map (fun n -> (Hashtbl.find outcomes n).po_inserted) order;
     b_site_heap = site_heap;
     b_var_boxed = var_boxed;
     b_stats =

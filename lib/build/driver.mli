@@ -1,10 +1,9 @@
 (** Incremental, parallel multi-package build driver: topological
     typechecking with threaded id bases, per-package escape analysis
-    against stored dependency summaries (§4.4), two-level content-hash
-    caching (package entries over function-granular unit records),
-    wave-parallel analysis on OCaml domains with in-package analysis
-    units fanned out to a shared worker pool, and linking into one
-    runnable {!Tast.program}. *)
+    against its dependencies' summaries (§4.4), content-hash caching of
+    function-granular unit records, wave-parallel analysis on OCaml
+    domains with in-package analysis units fanned out to a shared
+    worker pool, and linking into one runnable {!Tast.program}. *)
 
 open Minigo
 module Core := Gofree_core
@@ -14,11 +13,11 @@ exception Error of string
 type pkg_report = {
   pr_name : string;
   pr_wave : int;  (** dependency wave the package was scheduled in *)
-  pr_cached : bool;  (** analysis skipped, summaries came from the store *)
-  pr_ms : float;  (** analysis time; 0 for cache hits *)
+  pr_cached : bool;  (** every unit replayed from the unit cache *)
+  pr_ms : float;  (** analysis time, unit replay included *)
   pr_nfuncs : int;
   pr_nsummaries : int;
-  pr_units : int;  (** analysis units (call-graph SCCs); 0 on pkg hits *)
+  pr_units : int;  (** analysis units (call-graph SCCs) *)
   pr_unit_hits : int;  (** units replayed from the unit cache *)
 }
 
@@ -40,26 +39,24 @@ type result = {
   b_stats : stats;
 }
 
-(** The function-granular cache the driver consults on package-level
-    misses: a record by (package, unit content key), and wholesale
-    replacement of a package's record set after its analysis.  Both
-    must be thread-safe (package schedulers run on parallel domains). *)
+(** The function-granular cache the driver consults for every unit: a
+    record by (package, unit content key), and wholesale replacement of
+    a package's record set after its analysis.  Both must be
+    thread-safe (package schedulers run on parallel domains). *)
 type unit_cache = {
   uc_lookup : pkg:string -> key:string -> Store.unit_record option;
   uc_commit : pkg:string -> Store.unit_record list -> unit;
 }
 
-(** Always misses, never stores — package-level caching only. *)
-val no_unit_cache : unit_cache
-
 (** The on-disk cache ([<dir>/<pkg>.units]), lazily loaded, replaced
-    wholesale on commit; thread-safe. *)
+    wholesale on commit unless the committed set has the keys already
+    loaded (then nothing is written); thread-safe. *)
 val disk_unit_cache : dir:string -> unit_cache
 
 (** Build the tree rooted at the directory.  [cache_dir] defaults to
     [<root>/.gofree-cache]; [jobs = 0] picks a worker count from the
-    machine; [force] ignores both cache levels while still refreshing
-    them.  [unit_cache] defaults to {!disk_unit_cache} under
+    machine; [force] ignores the unit cache while still refreshing
+    it.  [unit_cache] defaults to {!disk_unit_cache} under
     [cache_dir].  Raises {!Error} or {!Loader.Error} on build
     problems. *)
 val build :

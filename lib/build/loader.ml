@@ -152,7 +152,7 @@ let load (root : string) : package list =
   let pkgs = List.filter_map (fun rel -> load_package ~root ~rel_path:rel) rels in
   if not (List.exists (fun p -> p.pkg_name = "main") pkgs) then
     fail "%s: no main package (no source files at the root)" root;
-  (* Package names must be unique: they key the summary store and the
+  (* Package names must be unique: they key the unit store and the
      qualified namespace. *)
   List.iter
     (fun p ->

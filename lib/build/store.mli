@@ -1,48 +1,13 @@
-(** Per-package summary store: serialized extended parameter tags plus
-    the recorded instrumentation and stack/heap decisions, keyed by a
-    content hash over sources, dependency keys and configuration
-    (paper §4.4's separate compilation). *)
+(** Unit-record store: per package, one record per analysis unit
+    (call-graph SCC) holding its serialized extended parameter tags plus
+    the recorded instrumentation and stack/heap decisions, keyed by the
+    unit's content hash (paper §4.4's separate compilation, one SCC at a
+    time).  Variable/site ids are relative to their {e function}'s first
+    id, so they survive other functions and packages changing size. *)
 
 open Minigo
 module E := Gofree_escape
 
-type entry = {
-  e_pkg : string;
-  e_key : string;  (** content hash this entry was built from *)
-  e_nvars : int;  (** variable ids the package allocates *)
-  e_nsites : int;  (** allocation sites the package allocates *)
-  e_summaries : E.Summary.t list;  (** one per function, decl order *)
-  e_frees : (string * int * int * Tast.free_kind) list;
-      (** inserted tcfrees: function, relative var id, field index
-          ([-1] for a whole-variable free), kind *)
-  e_site_heap : bool list;  (** per site, in site order *)
-  e_var_boxed : int list;  (** relative ids of boxed variables *)
-}
-
-(** Content hash of a package: sources + dependencies' keys (transitive
-    invalidation) + pipeline configuration + format version. *)
-val key :
-  sources:(string * string) list ->
-  dep_keys:string list ->
-  config:Gofree_core.Config.t ->
-  string
-
-val to_string : entry -> string
-
-val of_string : string -> (entry, string) result
-
-val entry_path : dir:string -> pkg:string -> string
-
-val save : dir:string -> entry -> unit
-
-(** [None] when absent, unreadable or stale-format — all just "miss". *)
-val load : dir:string -> pkg:string -> entry option
-
-(** One record per analysis unit (call-graph SCC), layered {e under}
-    the package entry: a package-level miss assembles its entry from
-    unit hits and re-analyzes only units whose content key changed.
-    Variable/site ids are relative to their {e function}'s first id, so
-    they survive other functions in the package changing size. *)
 type unit_record = {
   u_key : string;  (** {!Gofree_escape.Callgraph.unit_key} content key *)
   u_funcs : string list;  (** the unit's functions, unit order *)

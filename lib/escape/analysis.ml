@@ -192,7 +192,7 @@ let analyze ?(mode = Propagate.Gofree) ?(use_ipa = true) ?(backprop = true)
       (fun (s : Summary.t) -> Hashtbl.replace summaries s.Summary.s_name s)
       imported;
   let funcs = Hashtbl.create 16 in
-  let cg = Callgraph.build p.Tast.p_funcs in
+  let cg = Callgraph.build ~tenv:p.Tast.p_tenv p.Tast.p_funcs in
   let nunits = Array.length cg.Callgraph.cg_units in
   let reports = Array.make nunits None in
   let msig = mode_signature ~field_sensitive mode use_ipa backprop in

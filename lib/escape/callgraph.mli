@@ -10,7 +10,9 @@ type unit_def = {
   u_funcs : Tast.func list;  (** the SCC, in Tarjan discovery order *)
   u_deps : int list;  (** units this unit calls into; always [< u_id] *)
   u_dependents : int list;  (** units calling into this one *)
-  u_body_hash : string;  (** digest of the unit's pretty-printed bodies *)
+  u_body_hash : string;
+      (** digest of the unit's pretty-printed bodies and the layouts of
+          the struct types they use *)
   u_callees : string list;
       (** sorted distinct out-of-unit callee names (imported/external
           included) — the summary inputs of the unit *)
@@ -27,7 +29,9 @@ val callees_of : Tast.func -> string list
 (** Strongly connected components, callees first (iterative Tarjan). *)
 val condense : Tast.func list -> Tast.func list list
 
-val build : Tast.func list -> t
+(** Condense [funcs] into units; [tenv] resolves the struct layouts
+    folded into each unit's body hash. *)
+val build : tenv:Types.env -> Tast.func list -> t
 
 (** Names of the unit's functions, in unit order. *)
 val unit_names : unit_def -> string list

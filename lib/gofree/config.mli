@@ -43,8 +43,7 @@ val placement_of_string : string -> free_placement option
 (** Canonical cache-key signature in [cfg-v2;key=value;...] form
     (exhaustive over the record: adding a config field without extending
     it is a compile error, not a silent cache-aliasing bug).  Used by
-    the summary store, the analysis-unit keys and the daemon's resident
-    caches. *)
+    the analysis-unit keys and the daemon's resident caches. *)
 val signature : t -> string
 
 (** Stock Go: no tcfree insertion. *)

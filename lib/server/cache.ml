@@ -11,10 +11,10 @@
       {e everything} — loading, typechecking, analysis and linking.
 
     The build table layers over the on-disk [Build.Store]: a resident
-    miss still goes through the driver, whose per-package summary store
-    turns a cold daemon start on a previously-built tree into cheap
-    replay; the resident hit then short-circuits even that on the next
-    request.  Values are immutable once published (programs are
+    miss still goes through the driver, whose unit records turn a cold
+    daemon start on a previously-built tree into cheap replay; the
+    resident hit then short-circuits even that on the next request.
+    Values are immutable once published (programs are
     instrumented in place {e before} insertion, and running one never
     mutates it), so worker domains share them freely; the mutex guards
     the tables only — no lock is held while compiling, and two racing
@@ -128,8 +128,8 @@ let unit_cache (t : t) ~(disk : Driver.unit_cache) : Driver.unit_cache =
   }
 
 (** Build the tree at [dir], or return the resident linked result.
-    [force] bypasses (and refreshes) both this cache and the on-disk
-    summary store. *)
+    [force] bypasses (and refreshes) both this cache and the unit
+    records. *)
 let build (t : t) ~(config : Gofree_api.config) ?cache_dir ~jobs ~force
     (dir : string) : (Gofree_api.build * bool, Gofree_api.error) result =
   match Gofree_api.tree_key ~config dir with

@@ -15,17 +15,18 @@ let run ?(config = Gofree_core.Config.gofree) ?run_config src =
   in
   (r.Gofree_interp.Runner.output, r.Gofree_interp.Runner.metrics)
 
-(** Run under the mock poison tcfree of §6.8; any wrong free raises
+(** The mock poison tcfree of §6.8: any wrong free raises
     {!Gofree_interp.Value.Corruption}. *)
+let poison_run_config =
+  {
+    Gofree_interp.Interp.default_config with
+    heap_config =
+      { Gofree_runtime.Heap.default_config with poison_on_free = true };
+  }
+
+(** Run under {!poison_run_config}. *)
 let run_poison ?(config = Gofree_core.Config.gofree) src =
-  let run_config =
-    {
-      Gofree_interp.Interp.default_config with
-      heap_config =
-        { Gofree_runtime.Heap.default_config with poison_on_free = true };
-    }
-  in
-  run ~config ~run_config src
+  run ~config ~run_config:poison_run_config src
 
 let output ?config src = fst (run ?config src)
 
@@ -50,6 +51,42 @@ let read_file path =
   let s = really_input_string ic n in
   close_in ic;
   s
+
+let free_kind_str = function
+  | Minigo.Tast.Free_slice -> "slice"
+  | Minigo.Tast.Free_map -> "map"
+  | Minigo.Tast.Free_obj -> "obj"
+
+(** Everything a multi-package build promises: every insertion with its
+    absolute variable id and field, the program's output and the runtime
+    metrics JSON.  Two builds with equal fingerprints are observationally
+    identical. *)
+let build_fingerprint ?run_config (r : Gofree_build.Driver.result) =
+  let insertions =
+    List.sort compare
+      (List.map
+         (fun { Gofree_core.Instrument.ins_func; ins_var; ins_field;
+                ins_kind } ->
+           Printf.sprintf "%s/%d%s/%s/%s" ins_func ins_var.Minigo.Tast.v_id
+             (match ins_field with
+             | Some (idx, fname) -> Printf.sprintf ".%d:%s" idx fname
+             | None -> "")
+             ins_var.Minigo.Tast.v_name (free_kind_str ins_kind))
+         r.Gofree_build.Driver.b_inserted)
+  in
+  let run =
+    Gofree_interp.Runner.run_program ?config:run_config
+      ~decisions:
+        {
+          Gofree_interp.Decisions.site_heap = r.Gofree_build.Driver.b_site_heap;
+          var_boxed = r.Gofree_build.Driver.b_var_boxed;
+        }
+      r.Gofree_build.Driver.b_program
+  in
+  String.concat "\n" insertions
+  ^ "\n---\n" ^ run.Gofree_interp.Runner.output ^ "\n---\n"
+  ^ Gofree_obs.Json.to_string
+      (Gofree_runtime.Metrics.to_json run.Gofree_interp.Runner.metrics)
 
 (** Assert that the program produces the same output under stock Go,
     GoFree, and GoFree-with-poison — the robustness check. *)

@@ -1,5 +1,5 @@
 (** Tests for the multi-package build subsystem: package/import syntax,
-    export rules, the summary store, cache behavior, and — the headline
+    export rules, the unit store, cache behavior, and — the headline
     acceptance check — that a multi-package build inserts exactly the
     tcfree calls a whole-program single-file compile would (paper §4.4:
     stored tags lose no precision). *)
@@ -20,6 +20,11 @@ let rec mkdir_p dir =
 
 let tree_counter = ref 0
 
+let write_file path src =
+  let oc = open_out_bin path in
+  output_string oc src;
+  close_out oc
+
 (** Create a fresh directory holding [files] (relative path → source). *)
 let make_tree files =
   incr tree_counter;
@@ -34,9 +39,7 @@ let make_tree files =
     (fun (rel, src) ->
       let path = Filename.concat root rel in
       mkdir_p (Filename.dirname path);
-      let oc = open_out_bin path in
-      output_string oc src;
-      close_out oc)
+      write_file path src)
     files;
   root
 
@@ -385,32 +388,60 @@ let test_warm_cache_skips_analysis () =
   in
   Alcotest.(check string) "replay runs identically" (run r1) (run r2)
 
+let unit_hits_by_pkg (r : B.Driver.result) =
+  List.map
+    (fun pr ->
+      (pr.B.Driver.pr_name, (pr.B.Driver.pr_unit_hits, pr.B.Driver.pr_units)))
+    r.B.Driver.b_stats.B.Driver.bs_pkgs
+
 let test_change_invalidates_transitively () =
+  (* invalidation is content-keyed: an edit re-solves its own unit plus
+     the units whose callee summaries actually changed, in whichever
+     package they sit *)
   let root = make_tree tree_files in
   ignore (B.Driver.build root);
-  (* touch the leaf package: every dependent must re-analyze *)
   let util_path = Filename.concat root "util/util.go" in
-  let oc = open_out_gen [ Open_append ] 0o644 util_path in
-  output_string oc "\nfunc Extra() int { return 7 }\n";
-  close_out oc;
-  let r = B.Driver.build root in
-  Alcotest.(check int)
-    "leaf change re-analyzes the whole chain" 3
-    r.B.Driver.b_stats.B.Driver.bs_misses;
-  (* now touch only the middle package: the leaf stays cached *)
-  let data_path = Filename.concat root "data/data.go" in
-  let oc = open_out_gen [ Open_append ] 0o644 data_path in
-  output_string oc "\nfunc Unused() int { return 9 }\n";
-  close_out oc;
-  let r = B.Driver.build root in
-  let cached =
-    List.filter_map
-      (fun pr ->
-        if pr.B.Driver.pr_cached then Some pr.B.Driver.pr_name else None)
-      r.B.Driver.b_stats.B.Driver.bs_pkgs
+  (* a cold build of the tree with util replaced *)
+  let fresh util =
+    B.Driver.build
+      (make_tree
+         (("util/util.go", util) :: List.remove_assoc "util/util.go" tree_files))
   in
-  Alcotest.(check (list string))
-    "only the untouched leaf is cached" [ "util" ] cached
+  (* a new function no one calls: util's summaries stay as they were *)
+  let extra = "\nfunc Extra() int { return 7 }\n" in
+  write_file util_path (util_src ^ extra);
+  let r = B.Driver.build root in
+  Alcotest.(check (list (pair string (pair int int))))
+    "an unused addition re-solves only itself"
+    [ ("util", (4, 5)); ("data", (2, 2)); ("main", (1, 1)) ]
+    (unit_hits_by_pkg r);
+  Alcotest.(check int)
+    "its dependents are cache hits" 2 r.B.Driver.b_stats.B.Driver.bs_hits;
+  Alcotest.(check string)
+    "warm rebuild == cold build"
+    (Helpers.build_fingerprint (fresh (util_src ^ extra)))
+    (Helpers.build_fingerprint r);
+  (* Sum now leaks its argument to a global: its summary changes, so
+     every caller of Sum re-solves against the new tag *)
+  let leaky =
+    String.concat "\n"
+      (List.concat_map
+         (fun l ->
+           if l = "func Sum(xs []int) int {" then [ l; "\tkept = xs" ]
+           else [ l ])
+         (String.split_on_char '\n' util_src))
+    ^ extra ^ "\nvar kept []int\n"
+  in
+  write_file util_path leaky;
+  let r = B.Driver.build root in
+  Alcotest.(check (list (pair string (pair int int))))
+    "Sum and its callers data.Grid and main re-solve"
+    [ ("util", (4, 5)); ("data", (1, 2)); ("main", (0, 1)) ]
+    (unit_hits_by_pkg r);
+  Alcotest.(check string)
+    "warm rebuild == cold build after a summary change"
+    (Helpers.build_fingerprint (fresh leaky))
+    (Helpers.build_fingerprint r)
 
 let test_force_ignores_cache () =
   let root = make_tree tree_files in
@@ -503,78 +534,8 @@ let test_missing_main_rejected () =
   expect_build_error ~substring:"main" root
 
 (* ---------------------------------------------------------------- *)
-(* Summary store: golden file format and round-trips                 *)
+(* Unit store                                                        *)
 (* ---------------------------------------------------------------- *)
-
-let sample_summary =
-  {
-    E.Summary.s_name = "util.MakeRange";
-    s_nparams = 1;
-    s_flows =
-      [ { E.Summary.pf_param = 0; pf_target = `Heap; pf_derefs = 1 } ];
-    s_contents =
-      [|
-        {
-          E.Summary.ct_heap_alloc = true;
-          ct_incomplete = false;
-          ret_incomplete = false;
-        };
-      |];
-    s_fields = [];
-  }
-
-let sample_entry =
-  {
-    B.Store.e_pkg = "util";
-    e_key = "0123456789abcdef";
-    e_nvars = 5;
-    e_nsites = 2;
-    e_summaries = [ sample_summary ];
-    e_frees = [ ("util.MakeRange", 3, -1, Tast.Free_slice) ];
-    e_site_heap = [ true; false ];
-    e_var_boxed = [ 1; 3 ];
-  }
-
-let golden_entry_text =
-  "(format gofree-sum-v2)\n\
-   (package util)\n\
-   (key 0123456789abcdef)\n\
-   (nvars 5)\n\
-   (nsites 2)\n\
-   (summaries (summary (name util.MakeRange) (nparams 1) (flows (flow 0 \
-   heap 1)) (contents (content true false false))))\n\
-   (frees (free util.MakeRange 3 -1 slice))\n\
-   (site-heap true false)\n\
-   (var-boxed 1 3)\n"
-
-let test_store_golden () =
-  Alcotest.(check string)
-    "serialized entry matches the golden file" golden_entry_text
-    (B.Store.to_string sample_entry)
-
-let test_store_roundtrip () =
-  match B.Store.of_string (B.Store.to_string sample_entry) with
-  | Error e -> Alcotest.failf "round-trip failed: %s" e
-  | Ok e ->
-    Alcotest.(check bool) "round-trip identity" true (e = sample_entry)
-
-let test_store_save_load () =
-  let root = make_tree [] in
-  let dir = Filename.concat root "cache" in
-  B.Store.save ~dir sample_entry;
-  (match B.Store.load ~dir ~pkg:"util" with
-  | Some e ->
-    Alcotest.(check bool) "load returns the saved entry" true
-      (e = sample_entry)
-  | None -> Alcotest.fail "saved entry did not load");
-  Alcotest.(check bool) "absent package misses" true
-    (B.Store.load ~dir ~pkg:"nosuch" = None);
-  (* a stale or corrupt file is just a miss, never an error *)
-  let oc = open_out (B.Store.entry_path ~dir ~pkg:"util") in
-  output_string oc "(format ancient-v0)\n(package util)\n";
-  close_out oc;
-  Alcotest.(check bool) "stale format misses" true
-    (B.Store.load ~dir ~pkg:"util" = None)
 
 let test_stored_summary_survives_store () =
   (* a summary produced by real analysis, through the store and back *)
@@ -582,13 +543,13 @@ let test_stored_summary_survives_store () =
   let r = B.Driver.build root in
   ignore r;
   let dir = Filename.concat root ".gofree-cache" in
-  match B.Store.load ~dir ~pkg:"util" with
-  | None -> Alcotest.fail "build did not persist util's entry"
-  | Some e ->
+  match B.Store.load_units ~dir ~pkg:"util" with
+  | None -> Alcotest.fail "build did not persist util's unit records"
+  | Some records ->
     let mk =
       List.find
         (fun s -> s.E.Summary.s_name = "util.MakeRange")
-        e.B.Store.e_summaries
+        (List.concat_map (fun u -> u.B.Store.u_summaries) records)
     in
     Alcotest.(check bool)
       "stored MakeRange returns a fresh heap allocation" true
@@ -627,9 +588,6 @@ let suite =
       test_unresolved_import_rejected;
     Alcotest.test_case "missing main rejected" `Quick
       test_missing_main_rejected;
-    Alcotest.test_case "store golden file" `Quick test_store_golden;
-    Alcotest.test_case "store round-trip" `Quick test_store_roundtrip;
-    Alcotest.test_case "store save/load/miss" `Quick test_store_save_load;
     Alcotest.test_case "stored summary survives the store" `Quick
       test_stored_summary_survives_store;
   ]

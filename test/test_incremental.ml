@@ -167,46 +167,6 @@ let copy_edit files rel fname =
     (fun (r, s) -> if r = rel then (r, edit_func s fname) else (r, s))
     files
 
-(* ---------------------------------------------------------------- *)
-(* Build fingerprints: the byte-identity oracle                      *)
-(* ---------------------------------------------------------------- *)
-
-let kind_str = function
-  | Tast.Free_slice -> "slice"
-  | Tast.Free_map -> "map"
-  | Tast.Free_obj -> "obj"
-
-let decisions_of (r : B.Driver.result) =
-  {
-    Gofree_interp.Decisions.site_heap = r.B.Driver.b_site_heap;
-    var_boxed = r.B.Driver.b_var_boxed;
-  }
-
-(** Everything the build promises: every insertion with its absolute
-    variable id, the program's output, and the runtime metrics JSON.
-    Two builds with equal fingerprints are observationally identical. *)
-let fingerprint (r : B.Driver.result) =
-  let insertions =
-    List.sort compare
-      (List.map
-         (fun { Gofree_core.Instrument.ins_func; ins_var; ins_field;
-                ins_kind } ->
-           Printf.sprintf "%s/%d%s/%s/%s" ins_func ins_var.Tast.v_id
-             (match ins_field with
-             | Some (idx, fname) -> Printf.sprintf ".%d:%s" idx fname
-             | None -> "")
-             ins_var.Tast.v_name (kind_str ins_kind))
-         r.B.Driver.b_inserted)
-  in
-  let run =
-    Gofree_interp.Runner.run_program ~decisions:(decisions_of r)
-      r.B.Driver.b_program
-  in
-  String.concat "\n" insertions
-  ^ "\n---\n" ^ run.Gofree_interp.Runner.output ^ "\n---\n"
-  ^ Gofree_obs.Json.to_string
-      (Gofree_runtime.Metrics.to_json run.Gofree_interp.Runner.metrics)
-
 let unit_counts (r : B.Driver.result) =
   ( r.B.Driver.b_stats.B.Driver.bs_unit_hits,
     r.B.Driver.b_stats.B.Driver.bs_unit_misses )
@@ -218,68 +178,131 @@ let unit_counts (r : B.Driver.result) =
 (** Cold-build the tree, edit one function in place, rebuild warm, and
     compare against a from-scratch cold build of the edited tree: the
     results must be byte-identical and only the edited function's unit
-    re-solved ([exp_hits] units replayed from the cache). *)
-let check_one_edit ?(jobs = 0) ?unit_cache ~rel ~fname ~exp_hits
-    ~exp_misses () =
+    re-solved, the tree's other 6 units replayed from the cache. *)
+let check_one_edit ?(jobs = 0) ~rel ~fname () =
   let root = make_tree tree_files in
   ignore (B.Driver.build root);
   let edited = copy_edit tree_files rel fname in
   write_file (Filename.concat root rel) (List.assoc rel edited);
-  let warm = B.Driver.build ~jobs ?unit_cache root in
+  let warm = B.Driver.build ~jobs root in
   let cold = B.Driver.build (make_tree edited) in
   Alcotest.(check string)
     (fname ^ ": warm rebuild byte-identical to cold")
-    (fingerprint cold) (fingerprint warm);
+    (Helpers.build_fingerprint cold) (Helpers.build_fingerprint warm);
   Alcotest.(check (pair int int))
     (fname ^ ": expected units replayed/re-solved")
-    (exp_hits, exp_misses) (unit_counts warm)
+    (6, 1) (unit_counts warm)
 
-(* Each function of the tree: editing util re-analyzes all 3 packages
-   (transitive keys) but re-solves 1 of 7 units; editing data leaves
-   util's package entry warm (3 units seen); editing main touches only
-   its own single unit. *)
+(* Each function of the tree: the pad edit changes the function's body
+   but not its summary, so whichever package it sits in, only its own
+   unit re-solves and the other 6 of the tree's 7 units replay. *)
 let edit_cases =
   [
-    ("util/util.go", "Sum", 6);
-    ("util/util.go", "MakeRange", 6);
-    ("util/util.go", "scale", 6);
-    ("util/util.go", "Scale", 6);
-    ("data/data.go", "Centroid", 2);
-    ("data/data.go", "Grid", 2);
-    ("main.go", "main", 0);
+    ("util/util.go", "Sum");
+    ("util/util.go", "MakeRange");
+    ("util/util.go", "scale");
+    ("util/util.go", "Scale");
+    ("data/data.go", "Centroid");
+    ("data/data.go", "Grid");
+    ("main.go", "main");
   ]
 
 let test_every_function_edit () =
-  List.iter
-    (fun (rel, fname, exp_hits) ->
-      check_one_edit ~rel ~fname ~exp_hits ~exp_misses:1 ())
-    edit_cases
+  List.iter (fun (rel, fname) -> check_one_edit ~rel ~fname ()) edit_cases
 
 let test_parallel_warm_rebuild () =
   (* the pooled scheduler takes the same cache hits and produces the
      same bytes *)
-  check_one_edit ~jobs:4 ~rel:"util/util.go" ~fname:"Sum" ~exp_hits:6
-    ~exp_misses:1 ()
-
-let test_no_unit_cache_fallback () =
-  (* with unit caching disabled the same edit degrades to package-level
-     incrementality: every unit of every re-analyzed package re-solves,
-     and the bytes still match *)
-  check_one_edit ~unit_cache:B.Driver.no_unit_cache ~rel:"util/util.go"
-    ~fname:"Sum" ~exp_hits:0 ~exp_misses:7 ()
+  check_one_edit ~jobs:4 ~rel:"util/util.go" ~fname:"Sum" ()
 
 let test_formatting_only_edit_replays_everything () =
-  (* changed bytes invalidate every package key, but no typed body
-     changed, so no unit re-solves *)
+  (* changed bytes, but no typed body changed, so no unit re-solves *)
   let root = make_tree tree_files in
   let cold = B.Driver.build root in
   write_file (Filename.concat root "util/util.go") (util_src ^ "\n");
   let warm = B.Driver.build root in
   Alcotest.(check string)
-    "formatting-only rebuild byte-identical" (fingerprint cold)
-    (fingerprint warm);
+    "formatting-only rebuild byte-identical" (Helpers.build_fingerprint cold)
+    (Helpers.build_fingerprint warm);
   Alcotest.(check (pair int int))
     "every unit replayed, none re-solved" (7, 0) (unit_counts warm)
+
+(* A struct shared across packages: store's functions and main's body
+   address Log's fields by index. *)
+let log_store_src ~pad =
+  Printf.sprintf
+    {|package store
+
+type Log struct {
+%s	Entries [][]int
+	Sizes []int
+}
+
+func New(n int) *Log {
+	return &Log{Entries: make([][]int, 0, n), Sizes: make([]int, 0, n)}
+}
+
+func Push(l *Log, xs []int) {
+	l.Entries = append(l.Entries, xs)
+	l.Sizes = append(l.Sizes, len(xs))
+}
+
+func Total(l *Log) int {
+	t := 0
+	for i := range l.Sizes {
+		t = t + l.Sizes[i]
+	}
+	return t
+}
+|}
+    (if pad then "\tPad []int\n" else "")
+
+let log_main_src =
+  {|package main
+
+import "store"
+
+func main() {
+	n := 8
+	l := store.New(n)
+	for i := 0; i < n; i++ {
+		store.Push(l, make([]int, i+1))
+	}
+	println(store.Total(l))
+}
+|}
+
+let log_files ~pad =
+  [ ("store/store.go", log_store_src ~pad); ("main.go", log_main_src) ]
+
+let test_struct_layout_edit () =
+  (* inserting a field shifts the later fields' indices while every
+     function body prints the same: the unit keys must still change, or
+     replayed field frees land on the wrong field *)
+  List.iter
+    (fun (mname, config) ->
+      let root = make_tree (log_files ~pad:false) in
+      ignore (B.Driver.build ~config root);
+      write_file
+        (Filename.concat root "store/store.go")
+        (log_store_src ~pad:true);
+      let warm = B.Driver.build ~config root in
+      let cold = B.Driver.build ~config (make_tree (log_files ~pad:true)) in
+      Alcotest.(check bool)
+        (mname ^ ": the tree frees struct fields") true
+        (List.exists
+           (fun i -> i.Gofree_core.Instrument.ins_field <> None)
+           cold.B.Driver.b_inserted);
+      let fingerprint =
+        Helpers.build_fingerprint ~run_config:Helpers.poison_run_config
+      in
+      Alcotest.(check string)
+        (mname ^ ": warm rebuild after a field insert == cold")
+        (fingerprint cold) (fingerprint warm))
+    [
+      ("field-sensitive", Gofree_core.Config.field_sensitive);
+      ("precise", Gofree_core.Config.precise);
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* Random mutation differential                                      *)
@@ -315,7 +338,7 @@ let test_random_mutations () =
     let cold = B.Driver.build (make_tree [ ("main.go", mutant) ]) in
     Alcotest.(check string)
       (Printf.sprintf "seed %d (%s): warm == cold" seed fname)
-      (fingerprint cold) (fingerprint warm);
+      (Helpers.build_fingerprint cold) (Helpers.build_fingerprint warm);
     Alcotest.(check int)
       (Printf.sprintf "seed %d (%s): one unit re-solved" seed fname)
       1
@@ -352,7 +375,7 @@ let test_deep_chain_condenses () =
      recursive Tarjan; the explicit-stack version must digest it *)
   let n = 10_000 in
   let tp = Typecheck.check (Parser.parse (chain_src n)) in
-  let cg = E.Callgraph.build tp.Tast.p_funcs in
+  let cg = E.Callgraph.build ~tenv:tp.Tast.p_tenv tp.Tast.p_funcs in
   Alcotest.(check int)
     "one unit per function" (n + 1)
     (Array.length cg.E.Callgraph.cg_units);
@@ -376,7 +399,7 @@ let test_deep_chain_condenses () =
 let test_deep_cycle_is_one_unit () =
   let n = 10_000 in
   let tp = Typecheck.check (Parser.parse (cycle_src n)) in
-  let cg = E.Callgraph.build tp.Tast.p_funcs in
+  let cg = E.Callgraph.build ~tenv:tp.Tast.p_tenv tp.Tast.p_funcs in
   Alcotest.(check int) "cycle + main" 2
     (Array.length cg.E.Callgraph.cg_units);
   Alcotest.(check int) "the SCC holds every function" n
@@ -444,6 +467,22 @@ let sample_units =
     };
   ]
 
+let golden_units_text =
+  "(format gofree-units-v2)\n\
+   (unit (key 0123456789abcdef0123456789abcdef) (funcs util.MakeRange) \
+   (summaries (summary (name util.MakeRange) (nparams 1) (flows (flow 0 \
+   heap 1)) (contents (content true false false)))) (frees (free \
+   util.MakeRange 1 -1 slice)) (sites (site util.MakeRange 0 true)) (boxed \
+   (box util.MakeRange 2)))\n\
+   (unit (key fedcba9876543210fedcba9876543210) (funcs util.scale \
+   util.Scale) (summaries) (frees) (sites (site util.Scale 0 false)) \
+   (boxed))\n"
+
+let test_unit_store_golden () =
+  Alcotest.(check string)
+    "serialized unit records match the golden text" golden_units_text
+    (B.Store.units_to_string sample_units)
+
 let test_unit_store_roundtrip () =
   match B.Store.units_of_string (B.Store.units_to_string sample_units) with
   | Error e -> Alcotest.failf "unit round-trip failed: %s" e
@@ -468,7 +507,7 @@ let test_unit_store_save_load () =
 
 let test_unit_key_sensitivity () =
   let tp, _, _ = Typecheck.check_package (Parser.parse_file util_src) in
-  let cg = E.Callgraph.build tp.Tast.p_funcs in
+  let cg = E.Callgraph.build ~tenv:tp.Tast.p_tenv tp.Tast.p_funcs in
   let scale_unit =
     cg.E.Callgraph.cg_units.(Hashtbl.find cg.E.Callgraph.cg_unit_of
                                "util.Scale")
@@ -496,10 +535,10 @@ let suite =
       test_every_function_edit;
     Alcotest.test_case "parallel warm rebuild identical" `Quick
       test_parallel_warm_rebuild;
-    Alcotest.test_case "package-level fallback without unit cache" `Quick
-      test_no_unit_cache_fallback;
     Alcotest.test_case "formatting-only edit replays every unit" `Quick
       test_formatting_only_edit_replays_everything;
+    Alcotest.test_case "struct layout edit: warm == cold" `Quick
+      test_struct_layout_edit;
     Alcotest.test_case "20 random mutations: warm == cold" `Quick
       test_random_mutations;
     Alcotest.test_case "10k-deep chain condenses iteratively" `Quick
@@ -508,6 +547,8 @@ let suite =
       test_deep_cycle_is_one_unit;
     Alcotest.test_case "deep chain: pooled analysis == sequential" `Quick
       test_deep_chain_pooled_analysis;
+    Alcotest.test_case "unit store golden file" `Quick
+      test_unit_store_golden;
     Alcotest.test_case "unit store round-trip" `Quick
       test_unit_store_roundtrip;
     Alcotest.test_case "unit store save/load/corrupt" `Quick

@@ -120,13 +120,8 @@ let test_monotonicity_generated () =
 (* ---- poison safety in every mode ---------------------------------- *)
 
 let poison_run config src =
-  let run_config =
-    {
-      Gofree_interp.Interp.default_config with
-      heap_config = { Rt.Heap.default_config with poison_on_free = true };
-    }
-  in
-  Gofree_interp.Runner.compile_and_run ~gofree_config:config ~run_config src
+  Gofree_interp.Runner.compile_and_run ~gofree_config:config
+    ~run_config:Helpers.poison_run_config src
 
 let test_poison_all_modes () =
   let programs =
@@ -235,40 +230,6 @@ let make_tree () =
     tree_files;
   root
 
-let kind_str = function
-  | Minigo.Tast.Free_slice -> "slice"
-  | Minigo.Tast.Free_map -> "map"
-  | Minigo.Tast.Free_obj -> "obj"
-
-(** Insertions (absolute var ids, fields), program output and metrics:
-    equal fingerprints = observationally identical builds. *)
-let build_fingerprint (r : B.Driver.result) =
-  let insertions =
-    List.sort compare
-      (List.map
-         (fun { Gofree_core.Instrument.ins_func; ins_var; ins_field;
-                ins_kind } ->
-           Printf.sprintf "%s/%d%s/%s/%s" ins_func
-             ins_var.Minigo.Tast.v_id
-             (match ins_field with
-             | Some (idx, fname) -> Printf.sprintf ".%d:%s" idx fname
-             | None -> "")
-             ins_var.Minigo.Tast.v_name (kind_str ins_kind))
-         r.B.Driver.b_inserted)
-  in
-  let run =
-    Gofree_interp.Runner.run_program
-      ~decisions:
-        {
-          Gofree_interp.Decisions.site_heap = r.B.Driver.b_site_heap;
-          var_boxed = r.B.Driver.b_var_boxed;
-        }
-      r.B.Driver.b_program
-  in
-  String.concat "\n" insertions
-  ^ "\n---\n" ^ run.Gofree_interp.Runner.output ^ "\n---\n"
-  ^ Json.to_string (Rt.Metrics.to_json run.Gofree_interp.Runner.metrics)
-
 let test_build_determinism_per_mode () =
   List.iter
     (fun (mname, config) ->
@@ -277,14 +238,14 @@ let test_build_determinism_per_mode () =
       let pooled = B.Driver.build ~config ~jobs:4 ~force:true root in
       Alcotest.(check string)
         (mname ^ ": pooled build == sequential build")
-        (build_fingerprint sequential)
-        (build_fingerprint pooled);
+        (Helpers.build_fingerprint sequential)
+        (Helpers.build_fingerprint pooled);
       (* third build replays everything from the store *)
       let warm = B.Driver.build ~config root in
       Alcotest.(check string)
         (mname ^ ": warm replay == cold build")
-        (build_fingerprint sequential)
-        (build_fingerprint warm);
+        (Helpers.build_fingerprint sequential)
+        (Helpers.build_fingerprint warm);
       Alcotest.(check int)
         (mname ^ ": warm build re-solved nothing")
         0 warm.B.Driver.b_stats.B.Driver.bs_unit_misses)
