@@ -14,7 +14,7 @@
       worker pool ({!Gofree_sched.Pool});
     + consult the function-granular unit cache ({!Store}) for every
       unit: a unit whose content key (bodies and the struct layouts
-      they use ⊕ callee summary contents ⊕ config) is unchanged replays
+      in scope ⊕ callee summary contents ⊕ config) is unchanged replays
       its recorded insertions and decisions instead of re-analyzing, so
       one edited function re-solves only its own SCC plus the units
       whose callee-summary contents actually changed, and an unedited
@@ -43,7 +43,9 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
 type pkg_report = {
   pr_name : string;
   pr_wave : int;  (** dependency wave the package was scheduled in *)
-  pr_cached : bool;  (** every unit replayed from the unit cache *)
+  pr_cached : bool;
+      (** every unit replayed from the unit cache (so, vacuously, a
+          package without functions) *)
   pr_ms : float;  (** analysis time, unit replay included *)
   pr_nfuncs : int;
   pr_nsummaries : int;
@@ -89,8 +91,8 @@ type unit_cache = {
 
 (** The on-disk unit cache: [<dir>/<pkg>.units], loaded lazily once per
     package and replaced wholesale on commit — unless the committed set
-    has exactly the content keys already loaded, in which case nothing
-    is written.  Thread-safe — package schedulers on different domains
+    has exactly the content keys already stored, in which case nothing
+    is written (so a package without functions never gets a file).  Thread-safe — package schedulers on different domains
     share one instance per build. *)
 let disk_unit_cache ~dir : unit_cache =
   let mutex = Mutex.create () in
@@ -124,13 +126,11 @@ let disk_unit_cache ~dir : unit_cache =
         (* equal keys mean equal records, so an equal key set is an
            unchanged file *)
         let unchanged =
-          match Hashtbl.find_opt loaded pkg with
-          | Some t ->
-            Hashtbl.length t = List.length records
-            && List.for_all
-                 (fun (r : Store.unit_record) -> Hashtbl.mem t r.Store.u_key)
-                 records
-          | None -> false
+          let t = table pkg in
+          Hashtbl.length t = List.length records
+          && List.for_all
+               (fun (r : Store.unit_record) -> Hashtbl.mem t r.Store.u_key)
+               records
         in
         if not unchanged then begin
           let t = Hashtbl.create 16 in
@@ -590,7 +590,7 @@ let build ?(config = Core.Config.gofree) ?cache_dir ?(jobs = 0)
         {
           pr_name = name;
           pr_wave = Hashtbl.find wave_of name;
-          pr_cached = o.po_units > 0 && o.po_unit_hits = o.po_units;
+          pr_cached = o.po_unit_hits = o.po_units;
           pr_ms = o.po_ms;
           pr_nfuncs =
             List.length (Hashtbl.find tprogs name).Tast.p_funcs;

@@ -13,7 +13,9 @@ exception Error of string
 type pkg_report = {
   pr_name : string;
   pr_wave : int;  (** dependency wave the package was scheduled in *)
-  pr_cached : bool;  (** every unit replayed from the unit cache *)
+  pr_cached : bool;
+      (** every unit replayed from the unit cache (so, vacuously, a
+          package without functions) *)
   pr_ms : float;  (** analysis time, unit replay included *)
   pr_nfuncs : int;
   pr_nsummaries : int;

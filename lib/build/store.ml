@@ -20,7 +20,7 @@
     bodies.
 
     The key is {!Gofree_escape.Callgraph.unit_key}: a content hash over
-    the unit's bodies and the struct layouts they use, its out-of-unit
+    the unit's bodies and the struct layouts in scope, its out-of-unit
     callees' summary contents and the pipeline configuration. *)
 
 open Minigo

@@ -11,7 +11,7 @@
       reverse topological order (callees first), so ready units can be
       solved in parallel and bottom-up;
     - a content key ({!unit_key}): hash of the unit's pretty-printed
-      bodies and the layouts of the struct types they use, the summary
+      bodies and of every struct layout in scope, the summary
       {e contents} of every out-of-unit callee, and the configuration
       signature.  Two analysis runs with equal keys are guaranteed
       equal results, which is what makes per-function
@@ -30,7 +30,8 @@ type unit_def = {
   u_deps : int list;  (** units this unit calls into; always [< u_id] *)
   u_dependents : int list;  (** units calling into this one *)
   u_body_hash : string;
-      (** digest of the unit's pretty-printed bodies and struct layouts *)
+      (** digest of the unit's pretty-printed bodies and the struct
+          layouts in scope *)
   u_callees : string list;
       (** sorted distinct out-of-unit callee names, imported/external
           ones included — the summary inputs of the unit *)
@@ -125,58 +126,24 @@ let condense (funcs : Tast.func list) : Tast.func list list =
     funcs;
   List.rev !components
 
-(* Layouts of every struct type the bodies use, closed over nested
-   field types, as canonical text.  Bodies print field accesses by name,
-   but the analysis, its summaries and the unit records address fields
-   by index and size objects by layout: reordering or retyping a field
-   must change the key even when no body text changes. *)
-let struct_layouts (tenv : Types.env) (funcs : Tast.func list) : string =
-  let seen = Hashtbl.create 8 in
-  let rec ty = function
-    | Types.Struct s ->
-      if not (Hashtbl.mem seen s) then begin
-        let fields =
-          Option.value ~default:[] (Hashtbl.find_opt tenv.Types.structs s)
-        in
-        Hashtbl.replace seen s fields;
-        List.iter (fun (_, t) -> ty t) fields
-      end
-    | Types.Ptr t | Types.Slice t -> ty t
-    | Types.Map (k, v) -> ty k; ty v
-    | Types.Tuple ts -> List.iter ty ts
-    | Types.Int | Types.Bool | Types.String | Types.Float | Types.Unit
-    | Types.Nil ->
-      ()
-  in
-  let var (v : Tast.var) = ty v.Tast.v_ty in
-  List.iter
-    (fun (f : Tast.func) ->
-      List.iter var f.Tast.f_params;
-      List.iter ty f.Tast.f_results;
-      Tast.iter_stmts
-        (fun s ->
-          (match s with
-          | Tast.Sdecl (v, _) | Tast.Sforrange_map (v, _, _)
-          | Tast.Stcfree (v, _) ->
-            var v
-          | Tast.Smulti_decl (vs, _) -> List.iter var vs
-          | _ -> ());
-          Tast.iter_stmt_exprs
-            (Tast.iter_expr (fun e -> ty e.Tast.ty))
-            s)
-        f.Tast.f_body)
-    funcs;
-  Hashtbl.fold (fun s fields acc -> (s, fields) :: acc) seen []
+(* Every struct layout the package can see, imported ones included, as
+   one canonical digest.  Bodies print field accesses by name, but the
+   analysis, its summaries and the unit records address fields by index
+   and size objects by layout: reordering or retyping a field must change
+   the key even when no body text changes. *)
+let struct_digest (tenv : Types.env) : string =
+  Hashtbl.fold (fun s fields acc -> (s, fields) :: acc) tenv.Types.structs []
   |> List.sort compare
   |> List.map (fun (s, fields) ->
          s ^ "{"
          ^ String.concat "; "
              (List.map (fun (n, t) -> n ^ " " ^ Types.to_string t) fields)
          ^ "}")
-  |> String.concat "\n"
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
 
 let build ~(tenv : Types.env) (funcs : Tast.func list) : t =
   let components = condense funcs in
+  let structs = struct_digest tenv in
   let cg_unit_of = Hashtbl.create 16 in
   List.iteri
     (fun i comp ->
@@ -205,8 +172,7 @@ let build ~(tenv : Types.env) (funcs : Tast.func list) : t =
              Digest.to_hex
                (Digest.string
                   (String.concat "\000"
-                     (struct_layouts tenv comp
-                     :: List.map Pretty.func_to_string comp)))
+                     (structs :: List.map Pretty.func_to_string comp)))
            in
            {
              u_id = i;

@@ -11,8 +11,8 @@ type unit_def = {
   u_deps : int list;  (** units this unit calls into; always [< u_id] *)
   u_dependents : int list;  (** units calling into this one *)
   u_body_hash : string;
-      (** digest of the unit's pretty-printed bodies and the layouts of
-          the struct types they use *)
+      (** digest of the unit's pretty-printed bodies and of every
+          struct layout in [tenv] *)
   u_callees : string list;
       (** sorted distinct out-of-unit callee names (imported/external
           included) — the summary inputs of the unit *)
@@ -29,8 +29,8 @@ val callees_of : Tast.func -> string list
 (** Strongly connected components, callees first (iterative Tarjan). *)
 val condense : Tast.func list -> Tast.func list list
 
-(** Condense [funcs] into units; [tenv] resolves the struct layouts
-    folded into each unit's body hash. *)
+(** Condense [funcs] into units; the layouts of all of [tenv]'s structs
+    (imported ones included) are folded into each unit's body hash. *)
 val build : tenv:Types.env -> Tast.func list -> t
 
 (** Names of the unit's functions, in unit order. *)

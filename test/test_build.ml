@@ -443,6 +443,39 @@ let test_change_invalidates_transitively () =
     (Helpers.build_fingerprint (fresh leaky))
     (Helpers.build_fingerprint r)
 
+(* Every file in the cache directory with its inode and mtime: a
+   rewrite, even of identical bytes, changes both. *)
+let cache_snapshot root =
+  let dir = Filename.concat root ".gofree-cache" in
+  List.map
+    (fun f ->
+      let st = Unix.stat (Filename.concat dir f) in
+      (f, (st.Unix.st_ino, st.Unix.st_mtime)))
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+let test_types_only_package_writes_nothing () =
+  (* a package without functions has no units: it counts as cached on
+     every build, and an unedited rebuild rewrites no cache file *)
+  let root =
+    make_tree
+      [
+        ("shapes/shapes.go", "package shapes\n\ntype Point struct {\n\tX int\n\tY int\n}\n");
+        ( "main.go",
+          "package main\n\nimport \"shapes\"\n\nfunc main() {\n\tp := shapes.Point{X: 1, Y: 2}\n\tprintln(p.X + p.Y)\n}\n" );
+      ]
+  in
+  ignore (B.Driver.build root);
+  let before = cache_snapshot root in
+  let r = B.Driver.build root in
+  Alcotest.(check (list (pair string (pair int int))))
+    "shapes has no units, main replays its one"
+    [ ("shapes", (0, 0)); ("main", (1, 1)) ]
+    (unit_hits_by_pkg r);
+  Alcotest.(check int)
+    "both packages are cache hits" 2 r.B.Driver.b_stats.B.Driver.bs_hits;
+  Alcotest.(check (list (pair string (pair int (float 0.)))))
+    "no cache file rewritten" before (cache_snapshot root)
+
 let test_force_ignores_cache () =
   let root = make_tree tree_files in
   ignore (B.Driver.build root);
@@ -579,6 +612,8 @@ let suite =
       test_warm_cache_skips_analysis;
     Alcotest.test_case "change invalidates transitively" `Quick
       test_change_invalidates_transitively;
+    Alcotest.test_case "types-only package writes nothing" `Quick
+      test_types_only_package_writes_nothing;
     Alcotest.test_case "force ignores cache" `Quick test_force_ignores_cache;
     Alcotest.test_case "missing summary is conservative" `Quick
       test_missing_summary_is_conservative;
