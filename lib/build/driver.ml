@@ -92,8 +92,9 @@ type unit_cache = {
 (** The on-disk unit cache: [<dir>/<pkg>.units], loaded lazily once per
     package and replaced wholesale on commit — unless the committed set
     has exactly the content keys already stored, in which case nothing
-    is written (so a package without functions never gets a file).  Thread-safe — package schedulers on different domains
-    share one instance per build. *)
+    is written (so a package without functions never gets a file).
+    Thread-safe — package schedulers on different domains share one
+    instance per build. *)
 let disk_unit_cache ~dir : unit_cache =
   let mutex = Mutex.create () in
   let loaded : (string, (string, Store.unit_record) Hashtbl.t) Hashtbl.t =
