@@ -14,6 +14,7 @@ let () =
       ("instrument", Test_instrument.suite);
       ("build", Test_build.suite);
       ("incremental", Test_incremental.suite);
+      ("keys", Test_keys.suite);
       ("runtime", Test_runtime.suite);
       ("tcfree", Test_tcfree.suite);
       ("gc", Test_gc.suite);
