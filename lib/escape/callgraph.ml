@@ -63,7 +63,8 @@ let callees_of (f : Tast.func) : string list =
    pops once its callees are exhausted, emitting its component if it is
    a root and folding its lowlink into the frame below — exactly the
    recursive algorithm's post-order, minus the OCaml call stack. *)
-let condense (funcs : Tast.func list) : Tast.func list list =
+let condense_by ~(callees : Tast.func -> string list)
+    (funcs : Tast.func list) : Tast.func list list =
   let by_name = Hashtbl.create 16 in
   List.iter (fun f -> Hashtbl.replace by_name f.Tast.f_name f) funcs;
   let index = Hashtbl.create 16 in
@@ -83,7 +84,7 @@ let condense (funcs : Tast.func list) : Tast.func list list =
       let callees =
         match Hashtbl.find_opt by_name name with
         | None -> []
-        | Some f -> List.filter (Hashtbl.mem by_name) (callees_of f)
+        | Some f -> List.filter (Hashtbl.mem by_name) (callees f)
       in
       frames := (name, ref callees) :: !frames
     in
@@ -126,6 +127,8 @@ let condense (funcs : Tast.func list) : Tast.func list list =
     funcs;
   List.rev !components
 
+let condense funcs = condense_by ~callees:callees_of funcs
+
 (* Every struct layout the package can see, imported ones included, as
    one canonical digest.  Bodies print field accesses by name, but the
    analysis, its summaries and the unit records address fields by index
@@ -141,14 +144,23 @@ let struct_digest (tenv : Types.env) : string =
          ^ "}")
   |> String.concat "\n" |> Digest.string |> Digest.to_hex
 
+(* A unit's body hash digests [structs ^ "\000" ^ f1 ^ "\000" ^ ...]
+   over the pretty-printed text of its functions; each unit's text is
+   streamed into one reused buffer and digested once.  Every body's
+   callees are walked once, for both the condensation and the unit's
+   summary inputs. *)
 let build ~(tenv : Types.env) (funcs : Tast.func list) : t =
-  let components = condense funcs in
+  let out = Hashtbl.create 64 in
+  List.iter (fun f -> Hashtbl.replace out f.Tast.f_name (callees_of f)) funcs;
+  let calls (f : Tast.func) = Hashtbl.find out f.Tast.f_name in
+  let components = condense_by ~callees:calls funcs in
   let structs = struct_digest tenv in
   let cg_unit_of = Hashtbl.create 16 in
   List.iteri
     (fun i comp ->
       List.iter (fun f -> Hashtbl.replace cg_unit_of f.Tast.f_name i) comp)
     components;
+  let text = Buffer.create 4096 in
   let units =
     Array.of_list
       (List.mapi
@@ -162,24 +174,25 @@ let build ~(tenv : Types.env) (funcs : Tast.func list) : t =
              List.sort_uniq String.compare
                (List.filter
                   (fun c -> not (in_unit c))
-                  (List.concat_map callees_of comp))
+                  (List.concat_map calls comp))
            in
            let deps =
              List.sort_uniq compare
                (List.filter_map (Hashtbl.find_opt cg_unit_of) callees)
            in
-           let body_hash =
-             Digest.to_hex
-               (Digest.string
-                  (String.concat "\000"
-                     (structs :: List.map Pretty.func_to_string comp)))
-           in
+           Buffer.clear text;
+           Buffer.add_string text structs;
+           List.iter
+             (fun f ->
+               Buffer.add_char text '\000';
+               Pretty.add_func text f)
+             comp;
            {
              u_id = i;
              u_funcs = comp;
              u_deps = deps;
              u_dependents = [];
-             u_body_hash = body_hash;
+             u_body_hash = Digest.to_hex (Digest.string (Buffer.contents text));
              u_callees = callees;
            })
          components)

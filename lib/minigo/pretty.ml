@@ -1,9 +1,10 @@
 (** Pretty-printer for the typed AST.
 
-    Used by [gofreec --print-instrumented] to show where tcfree calls were
-    inserted, and by tests to check instrumentation placement. *)
-
-open Format
+    Used by [gofreec instrument] to show where tcfree calls were
+    inserted, by tests to check instrumentation placement, and by
+    [Callgraph] as the body text an analysis unit's key digests.  One
+    direct walk into a [Buffer]: the text is hashed on every build, so
+    it goes through no formatting engine. *)
 
 let binop_str = function
   | Ast.Badd -> "+"
@@ -25,157 +26,214 @@ let binop_str = function
   | Ast.Band -> "&&"
   | Ast.Bor -> "||"
 
-let rec pp_expr fmt (e : Tast.expr) =
-  match e.Tast.desc with
-  | Tast.Tint n -> fprintf fmt "%d" n
-  | Tast.Tfloat f -> fprintf fmt "%g" f
-  | Tast.Tbool b -> fprintf fmt "%b" b
-  | Tast.Tstring s -> fprintf fmt "%S" s
-  | Tast.Tnil -> pp_print_string fmt "nil"
-  | Tast.Tvar v -> pp_print_string fmt v.Tast.v_name
-  | Tast.Tbinop (op, a, b) ->
-    fprintf fmt "(%a %s %a)" pp_expr a (binop_str op) pp_expr b
-  | Tast.Tunop (Ast.Uneg, a) -> fprintf fmt "-%a" pp_expr a
-  | Tast.Tunop (Ast.Unot, a) -> fprintf fmt "!%a" pp_expr a
-  | Tast.Taddr lv -> fprintf fmt "&%a" pp_lvalue lv
-  | Tast.Tderef a -> fprintf fmt "*%a" pp_expr a
-  | Tast.Tindex (a, i) | Tast.Tmap_get (a, i) ->
-    fprintf fmt "%a[%a]" pp_expr a pp_expr i
-  | Tast.Tfield (a, _, name) -> fprintf fmt "%a.%s" pp_expr a name
-  | Tast.Tcall (name, args) -> fprintf fmt "%s(%a)" name pp_args args
-  | Tast.Tmake_slice (_, elem, len, None) ->
-    fprintf fmt "make([]%s, %a)" (Types.to_string elem) pp_expr len
-  | Tast.Tmake_slice (_, elem, len, Some cap) ->
-    fprintf fmt "make([]%s, %a, %a)" (Types.to_string elem) pp_expr len
-      pp_expr cap
-  | Tast.Tmake_map (_, k, v) ->
-    fprintf fmt "make(map[%s]%s)" (Types.to_string k) (Types.to_string v)
-  | Tast.Tnew (_, t) -> fprintf fmt "new(%s)" (Types.to_string t)
-  | Tast.Tslice_lit (_, elem, es) ->
-    fprintf fmt "[]%s{%a}" (Types.to_string elem) pp_args es
-  | Tast.Tstruct_lit (name, es) -> fprintf fmt "%s{%a}" name pp_args es
-  | Tast.Taddr_struct_lit (_, name, es) ->
-    fprintf fmt "&%s{%a}" name pp_args es
-  | Tast.Tappend (_, s, es) ->
-    fprintf fmt "append(%a, %a)" pp_expr s pp_args es
-  | Tast.Tlen a -> fprintf fmt "len(%a)" pp_expr a
-  | Tast.Tcap a -> fprintf fmt "cap(%a)" pp_expr a
-  | Tast.Titoa a -> fprintf fmt "itoa(%a)" pp_expr a
-  | Tast.Trand a -> fprintf fmt "rand(%a)" pp_expr a
-  | Tast.Tsubstr (s, a, b) ->
-    fprintf fmt "substr(%a, %a, %a)" pp_expr s pp_expr a pp_expr b
-  | Tast.Tslice_sub (e, lo, hi) ->
-    let pp_opt fmt = function
-      | Some e -> pp_expr fmt e
-      | None -> ()
-    in
-    fprintf fmt "%a[%a:%a]" pp_expr e pp_opt lo pp_opt hi
-  | Tast.Tcopy (dst, src) ->
-    fprintf fmt "copy(%a, %a)" pp_expr dst pp_expr src
-  | Tast.Tmap_get_ok (m, k) -> fprintf fmt "%a[%a]" pp_expr m pp_expr k
-  | Tast.Trecover -> fprintf fmt "recover()"
-
-and pp_args fmt args =
-  pp_print_list
-    ~pp_sep:(fun fmt () -> pp_print_string fmt ", ")
-    pp_expr fmt args
-
-and pp_lvalue fmt = function
-  | Tast.Lvar v -> pp_print_string fmt v.Tast.v_name
-  | Tast.Lderef e -> fprintf fmt "*%a" pp_expr e
-  | Tast.Lindex (a, i) | Tast.Lmap (a, i) ->
-    fprintf fmt "%a[%a]" pp_expr a pp_expr i
-  | Tast.Lfield (e, _, name) -> fprintf fmt "%a.%s" pp_expr e name
-
 let free_kind_str = function
   | Tast.Free_slice -> "TcfreeSlice"
   | Tast.Free_map -> "TcfreeMap"
   | Tast.Free_obj -> "Tcfree"
 
-let rec pp_stmt ind fmt (s : Tast.stmt) =
-  let pad = String.make ind ' ' in
+let str = Buffer.add_string
+
+let ty b t = str b (Types.to_string t)
+
+let sep_list b f = List.iteri (fun i x -> if i > 0 then str b ", "; f b x)
+
+let rec expr b (e : Tast.expr) =
+  match e.Tast.desc with
+  | Tast.Tint n -> str b (string_of_int n)
+  | Tast.Tfloat f -> str b (Printf.sprintf "%g" f)
+  | Tast.Tbool v -> str b (string_of_bool v)
+  | Tast.Tstring s ->
+    Buffer.add_char b '"';
+    str b (String.escaped s);
+    Buffer.add_char b '"'
+  | Tast.Tnil -> str b "nil"
+  | Tast.Tvar v -> str b v.Tast.v_name
+  | Tast.Tbinop (op, l, r) ->
+    Buffer.add_char b '(';
+    expr b l;
+    Buffer.add_char b ' ';
+    str b (binop_str op);
+    Buffer.add_char b ' ';
+    expr b r;
+    Buffer.add_char b ')'
+  | Tast.Tunop (Ast.Uneg, a) -> Buffer.add_char b '-'; expr b a
+  | Tast.Tunop (Ast.Unot, a) -> Buffer.add_char b '!'; expr b a
+  | Tast.Taddr lv -> Buffer.add_char b '&'; lvalue b lv
+  | Tast.Tderef a -> Buffer.add_char b '*'; expr b a
+  | Tast.Tindex (a, i) | Tast.Tmap_get (a, i) | Tast.Tmap_get_ok (a, i) ->
+    index b a i
+  | Tast.Tfield (a, _, name) -> expr b a; Buffer.add_char b '.'; str b name
+  | Tast.Tcall (name, es) -> call b name es
+  | Tast.Tmake_slice (_, elem, len, cap) ->
+    str b "make([]";
+    ty b elem;
+    str b ", ";
+    expr b len;
+    Option.iter (fun c -> str b ", "; expr b c) cap;
+    Buffer.add_char b ')'
+  | Tast.Tmake_map (_, k, v) ->
+    str b "make(map[";
+    ty b k;
+    Buffer.add_char b ']';
+    ty b v;
+    Buffer.add_char b ')'
+  | Tast.Tnew (_, t) -> str b "new("; ty b t; Buffer.add_char b ')'
+  | Tast.Tslice_lit (_, elem, es) -> str b "[]"; ty b elem; braces b es
+  | Tast.Tstruct_lit (name, es) -> str b name; braces b es
+  | Tast.Taddr_struct_lit (_, name, es) ->
+    Buffer.add_char b '&';
+    str b name;
+    braces b es
+  | Tast.Tappend (_, s, es) ->
+    str b "append(";
+    expr b s;
+    str b ", ";
+    sep_list b expr es;
+    Buffer.add_char b ')'
+  | Tast.Tlen a -> call b "len" [ a ]
+  | Tast.Tcap a -> call b "cap" [ a ]
+  | Tast.Titoa a -> call b "itoa" [ a ]
+  | Tast.Trand a -> call b "rand" [ a ]
+  | Tast.Tsubstr (s, lo, hi) -> call b "substr" [ s; lo; hi ]
+  | Tast.Tslice_sub (a, lo, hi) ->
+    expr b a;
+    Buffer.add_char b '[';
+    Option.iter (expr b) lo;
+    Buffer.add_char b ':';
+    Option.iter (expr b) hi;
+    Buffer.add_char b ']'
+  | Tast.Tcopy (dst, src) -> call b "copy" [ dst; src ]
+  | Tast.Trecover -> str b "recover()"
+
+and call b name es =
+  str b name;
+  Buffer.add_char b '(';
+  sep_list b expr es;
+  Buffer.add_char b ')'
+
+and braces b es =
+  Buffer.add_char b '{';
+  sep_list b expr es;
+  Buffer.add_char b '}'
+
+and index b a i =
+  expr b a;
+  Buffer.add_char b '[';
+  expr b i;
+  Buffer.add_char b ']'
+
+and lvalue b = function
+  | Tast.Lvar v -> str b v.Tast.v_name
+  | Tast.Lderef e -> Buffer.add_char b '*'; expr b e
+  | Tast.Lindex (a, i) | Tast.Lmap (a, i) -> index b a i
+  | Tast.Lfield (e, _, name) -> expr b e; Buffer.add_char b '.'; str b name
+
+let pad b ind =
+  for _ = 1 to ind do
+    Buffer.add_char b ' '
+  done
+
+(* [stmt b ind s] prints [s] indented by [ind]; a block's closing brace
+   lines up with the statement that opened it. *)
+let rec stmt b ind (s : Tast.stmt) =
+  pad b ind;
   match s with
   | Tast.Sdecl (v, None) ->
-    fprintf fmt "%svar %s %s" pad v.Tast.v_name (Types.to_string v.Tast.v_ty)
-  | Tast.Sdecl (v, Some e) ->
-    fprintf fmt "%s%s := %a" pad v.Tast.v_name pp_expr e
+    str b "var ";
+    str b v.Tast.v_name;
+    Buffer.add_char b ' ';
+    ty b v.Tast.v_ty
+  | Tast.Sdecl (v, Some e) -> str b v.Tast.v_name; str b " := "; expr b e
   | Tast.Smulti_decl (vs, e) ->
-    fprintf fmt "%s%s := %a" pad
-      (String.concat ", " (List.map (fun v -> v.Tast.v_name) vs))
-      pp_expr e
-  | Tast.Sassign (lv, e) ->
-    fprintf fmt "%s%a = %a" pad pp_lvalue lv pp_expr e
+    sep_list b (fun b v -> str b v.Tast.v_name) vs;
+    str b " := ";
+    expr b e
+  | Tast.Sassign (lv, e) -> lvalue b lv; str b " = "; expr b e
   | Tast.Smulti_assign (lvs, e) ->
-    fprintf fmt "%s%a = %a" pad
-      (pp_print_list
-         ~pp_sep:(fun fmt () -> pp_print_string fmt ", ")
-         pp_lvalue)
-      lvs pp_expr e
-  | Tast.Sexpr e -> fprintf fmt "%s%a" pad pp_expr e
-  | Tast.Sif (c, b1, b2) -> begin
-    fprintf fmt "%sif %a %a" pad pp_expr c (pp_block ind) b1;
-    match b2 with
-    | Some b -> fprintf fmt " else %a" (pp_block ind) b
-    | None -> ()
-  end
+    sep_list b lvalue lvs;
+    str b " = ";
+    expr b e
+  | Tast.Sexpr e -> expr b e
+  | Tast.Sif (c, b1, b2) ->
+    str b "if ";
+    expr b c;
+    Buffer.add_char b ' ';
+    block b ind b1;
+    Option.iter (fun b2 -> str b " else "; block b ind b2) b2
   | Tast.Sfor (init, cond, post, body) ->
-    let pp_opt_stmt fmt = function
-      | Some s -> pp_stmt 0 fmt s
-      | None -> ()
-    in
-    let pp_opt_expr fmt = function
-      | Some e -> pp_expr fmt e
-      | None -> ()
-    in
-    fprintf fmt "%sfor %a; %a; %a %a" pad pp_opt_stmt init pp_opt_expr cond
-      pp_opt_stmt post (pp_block ind) body
+    str b "for ";
+    Option.iter (stmt b 0) init;
+    str b "; ";
+    Option.iter (expr b) cond;
+    str b "; ";
+    Option.iter (stmt b 0) post;
+    Buffer.add_char b ' ';
+    block b ind body
   | Tast.Sforrange_map (v, m, body) ->
-    fprintf fmt "%sfor %s := range %a %a" pad v.Tast.v_name pp_expr m
-      (pp_block ind) body
-  | Tast.Sreturn [] -> fprintf fmt "%sreturn" pad
-  | Tast.Sreturn es -> fprintf fmt "%sreturn %a" pad pp_args es
-  | Tast.Sblock b -> fprintf fmt "%s%a" pad (pp_block ind) b
-  | Tast.Sgo (name, args) ->
-    fprintf fmt "%sgo %s(%a)" pad name pp_args args
-  | Tast.Sdefer (name, args) ->
-    fprintf fmt "%sdefer %s(%a)" pad name pp_args args
-  | Tast.Spanic e -> fprintf fmt "%spanic(%a)" pad pp_expr e
-  | Tast.Sbreak -> fprintf fmt "%sbreak" pad
-  | Tast.Scontinue -> fprintf fmt "%scontinue" pad
-  | Tast.Sdelete (m, k) ->
-    fprintf fmt "%sdelete(%a, %a)" pad pp_expr m pp_expr k
-  | Tast.Sprint es -> fprintf fmt "%sprintln(%a)" pad pp_args es
+    str b "for ";
+    str b v.Tast.v_name;
+    str b " := range ";
+    expr b m;
+    Buffer.add_char b ' ';
+    block b ind body
+  | Tast.Sreturn [] -> str b "return"
+  | Tast.Sreturn es -> str b "return "; sep_list b expr es
+  | Tast.Sblock blk -> block b ind blk
+  | Tast.Sgo (name, es) -> str b "go "; call b name es
+  | Tast.Sdefer (name, es) -> str b "defer "; call b name es
+  | Tast.Spanic e -> call b "panic" [ e ]
+  | Tast.Sbreak -> str b "break"
+  | Tast.Scontinue -> str b "continue"
+  | Tast.Sdelete (m, k) -> call b "delete" [ m; k ]
+  | Tast.Sprint es -> call b "println" es
   | Tast.Stcfree (v, kind) ->
-    fprintf fmt "%s%s(%s) // inserted" pad (free_kind_str kind)
-      v.Tast.v_name
+    str b (free_kind_str kind);
+    Buffer.add_char b '(';
+    str b v.Tast.v_name;
+    str b ") // inserted"
 
-and pp_block ind fmt (b : Tast.block) =
-  fprintf fmt "{";
+and block b ind (blk : Tast.block) =
+  Buffer.add_char b '{';
   List.iter
-    (fun s -> fprintf fmt "@\n%a" (pp_stmt (ind + 2)) s)
-    b.Tast.b_stmts;
-  fprintf fmt "@\n%s}" (String.make ind ' ')
+    (fun s ->
+      Buffer.add_char b '\n';
+      stmt b (ind + 2) s)
+    blk.Tast.b_stmts;
+  Buffer.add_char b '\n';
+  pad b ind;
+  Buffer.add_char b '}'
 
-let pp_func fmt (f : Tast.func) =
-  let params =
-    String.concat ", "
-      (List.map
-         (fun v ->
-           Printf.sprintf "%s %s" v.Tast.v_name (Types.to_string v.Tast.v_ty))
-         f.Tast.f_params)
-  in
-  let results =
-    match f.Tast.f_results with
-    | [] -> ""
-    | [ t ] -> " " ^ Types.to_string t
-    | ts -> " (" ^ String.concat ", " (List.map Types.to_string ts) ^ ")"
-  in
-  fprintf fmt "func %s(%s)%s %a" f.Tast.f_name params results (pp_block 0)
-    f.Tast.f_body
+let add_func b (f : Tast.func) =
+  str b "func ";
+  str b f.Tast.f_name;
+  Buffer.add_char b '(';
+  sep_list b
+    (fun b (v : Tast.var) ->
+      str b v.Tast.v_name;
+      Buffer.add_char b ' ';
+      ty b v.Tast.v_ty)
+    f.Tast.f_params;
+  Buffer.add_char b ')';
+  (match f.Tast.f_results with
+  | [] -> ()
+  | [ t ] -> Buffer.add_char b ' '; ty b t
+  | ts ->
+    str b " (";
+    sep_list b ty ts;
+    Buffer.add_char b ')');
+  Buffer.add_char b ' ';
+  block b 0 f.Tast.f_body
 
-let pp_program fmt (p : Tast.program) =
-  List.iter (fun f -> fprintf fmt "%a@\n@\n" pp_func f) p.Tast.p_funcs
+let func_to_string f =
+  let b = Buffer.create 1024 in
+  add_func b f;
+  Buffer.contents b
 
-let program_to_string p = asprintf "%a" pp_program p
-
-let func_to_string f = asprintf "%a" pp_func f
+let program_to_string (p : Tast.program) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun f ->
+      add_func b f;
+      str b "\n\n")
+    p.Tast.p_funcs;
+  Buffer.contents b

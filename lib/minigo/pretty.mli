@@ -1,19 +1,19 @@
 (** Pretty-printer for the typed AST; shows inserted tcfree calls with an
-    [// inserted] marker. *)
+    [// inserted] marker.
 
-val binop_str : Ast.binop -> string
+    The printed text of a function is also the body text an analysis
+    unit's cache key digests ([Gofree_escape.Callgraph]): any change to
+    the output, even whitespace, moves every unit key.  Such a change
+    must bump the key version in [Callgraph.unit_key] and regenerate
+    both goldens of [test/test_keys.ml] ([test/golden/pretty_all.txt]
+    and [test/golden/units/]). *)
 
 val free_kind_str : Tast.free_kind -> string
 
-val pp_expr : Format.formatter -> Tast.expr -> unit
-
-val pp_stmt : int -> Format.formatter -> Tast.stmt -> unit
-(** [pp_stmt indent fmt stmt] *)
-
-val pp_func : Format.formatter -> Tast.func -> unit
-
-val pp_program : Format.formatter -> Tast.program -> unit
-
-val program_to_string : Tast.program -> string
+(** [add_func b f] appends the text of [f] to [b]. *)
+val add_func : Buffer.t -> Tast.func -> unit
 
 val func_to_string : Tast.func -> string
+
+(** Every function's text, each followed by a blank line. *)
+val program_to_string : Tast.program -> string

@@ -29,11 +29,24 @@ let add_escaped buf s =
     s;
   Buffer.add_char buf '"'
 
+(* Integers below 1e15 print exactly with one decimal.  Anything else
+   prints in the shortest of %.12g, %.15g and %.17g that reads back as
+   the same float (%.17g always does), so epoch nanoseconds keep their
+   low digits and every value %.12g already printed exactly prints as
+   before.  A bare digit string gets ".0" so it parses back as a float. *)
 let add_float buf f =
   if not (Float.is_finite f) then Buffer.add_string buf "null"
   else if Float.is_integer f && Float.abs f < 1e15 then
     Buffer.add_string buf (Printf.sprintf "%.1f" f)
-  else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+  else begin
+    let exact s = float_of_string s = f in
+    let s = Printf.sprintf "%.12g" f in
+    let s = if exact s then s else Printf.sprintf "%.15g" f in
+    let s = if exact s then s else Printf.sprintf "%.17g" f in
+    Buffer.add_string buf s;
+    if String.for_all (function '0' .. '9' | '-' -> true | _ -> false) s
+    then Buffer.add_string buf ".0"
+  end
 
 let rec to_buffer buf (j : t) =
   match j with

@@ -32,6 +32,22 @@ let test_json_roundtrip () =
   | exception Json.Parse_error _ -> ()
   | _ -> Alcotest.fail "trailing garbage accepted"
 
+(* Epoch timestamps sit far above 1e12: the printed text must carry
+   every bit, not 12 significant digits. *)
+let test_json_float_exact () =
+  List.iter
+    (fun f ->
+      let text = Json.to_string (Json.Float f) in
+      match Json.parse text with
+      | Json.Float g when g = f -> ()
+      | _ -> Alcotest.failf "%h printed as %s, which does not read back" f text)
+    [ 1.792277360881234e18; 1792277360881.25; 1234567890123456.; 0.1; 1.5;
+      -2.5e-7; 1e300 ];
+  Alcotest.(check string)
+    "values 12 digits hold exactly print as before" "[0.1,1.5e-07,1e+20]"
+    (Json.to_string (Json.List [ Json.Float 0.1; Json.Float 1.5e-7;
+                                 Json.Float 1e20 ]))
+
 (* ---------- trace stream ---------- *)
 
 let trace_src =
@@ -359,6 +375,8 @@ let test_explain_total () =
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+    Alcotest.test_case "json floats read back exactly" `Quick
+      test_json_float_exact;
     Alcotest.test_case "trace stream invariants" `Quick test_trace_stream;
     Alcotest.test_case "trace disabled" `Quick test_trace_disabled;
     Alcotest.test_case "metrics json round-trip" `Quick test_metrics_roundtrip;
