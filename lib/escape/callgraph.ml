@@ -13,11 +13,13 @@
     - a content key ({!unit_key}): hash of the unit's pretty-printed
       bodies and of every struct layout in scope, the summary
       {e contents} of every out-of-unit callee, and the configuration
-      signature.  Two analysis runs with equal keys are guaranteed
-      equal results, which is what makes per-function
-      incremental caching sound — an edited function invalidates its own
-      unit (body hash) and exactly those dependents whose callee-summary
-      contents actually changed.
+      signature.  The body text is {!Minigo.Pretty.add_func}'s output,
+      so the printer's text is part of the on-disk cache format
+      (pinned by the goldens of [test/test_keys.ml]).  Two analysis
+      runs with equal keys are guaranteed equal results, which is what
+      makes per-function incremental caching sound — an edited function
+      invalidates its own unit (body hash) and exactly those dependents
+      whose callee-summary contents actually changed.
 
     Tarjan's algorithm runs on an explicit stack: condensing a 10k-deep
     call chain must not overflow the OCaml call stack. *)
@@ -192,7 +194,8 @@ let build ~(tenv : Types.env) (funcs : Tast.func list) : t =
              u_funcs = comp;
              u_deps = deps;
              u_dependents = [];
-             u_body_hash = Digest.to_hex (Digest.string (Buffer.contents text));
+             u_body_hash =
+               Digest.to_hex (Digest.string (Buffer.contents text));
              u_callees = callees;
            })
          components)

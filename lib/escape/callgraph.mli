@@ -11,8 +11,9 @@ type unit_def = {
   u_deps : int list;  (** units this unit calls into; always [< u_id] *)
   u_dependents : int list;  (** units calling into this one *)
   u_body_hash : string;
-      (** digest of the unit's pretty-printed bodies and of every
-          struct layout in [tenv] *)
+      (** digest of [structs ^ "\000" ^ f1 ^ "\000" ^ ...]: one digest
+          of every struct layout in [tenv], then the unit's functions as
+          {!Minigo.Pretty.func_to_string} prints them, in unit order *)
   u_callees : string list;
       (** sorted distinct out-of-unit callee names (imported/external
           included) — the summary inputs of the unit *)
@@ -30,7 +31,9 @@ val callees_of : Tast.func -> string list
 val condense : Tast.func list -> Tast.func list list
 
 (** Condense [funcs] into units; the layouts of all of [tenv]'s structs
-    (imported ones included) are folded into each unit's body hash. *)
+    (imported ones included) are folded into each unit's body hash.
+    Walks each body's callees once and prints each unit's text into one
+    reused buffer, digested once. *)
 val build : tenv:Types.env -> Tast.func list -> t
 
 (** Names of the unit's functions, in unit order. *)
